@@ -32,13 +32,6 @@ __all__ = [
 ]
 
 
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
 def _check_witness_inputs(q: int, t: int, primes, h: int):
     if q < 2:
         raise PreconditionError(f"q = {q}; need q >= 2")
@@ -53,9 +46,9 @@ def _check_witness_inputs(q: int, t: int, primes, h: int):
     for p in primes:
         if not isinstance(p, int) or p < 2:
             raise PreconditionError(f"modulus {p!r}; entries must be integers >= 2")
-    g = math.gcd(q, t * _prod(primes))
+    g = math.gcd(q, t * math.prod(primes))
     if g != 1:
-        raise PreconditionError(f"gcd(q, t*prod) = gcd({q}, {t * _prod(primes)}) = {g}, not 1")
+        raise PreconditionError(f"gcd(q, t*prod) = gcd({q}, {t * math.prod(primes)}) = {g}, not 1")
 
 
 @lru_cache(maxsize=512)
@@ -67,7 +60,7 @@ def _witness_base(q: int, t: int, primes: tuple[int, ...], h: int):
     materialized), and returns (b, k0, r_list, n0) where b = a mod (prod p)^h.
     """
     _check_witness_inputs(q, t, primes, h)
-    P = _prod(primes)
+    P = math.prod(primes)
     n0 = euler_phi(t * P ** (h + 1))
     support = {p: dict(factorize(p)) for p in primes}
     t_val = {r: 0 for p in primes for r in support[p]}
@@ -105,7 +98,7 @@ def _witness_base(q: int, t: int, primes: tuple[int, ...], h: int):
             raise RuntimeError(f"internal: exponent r_{j} = {r_list[j]} below h+1 for modulus {p}")
         if all(avail[r] >= e for r, e in support[p].items()):
             raise RuntimeError(f"internal: cofactor still divisible by modulus {p}")
-    D = t * _prod(p ** r for p, r in zip(primes, r_list))
+    D = t * math.prod(p ** r for p, r in zip(primes, r_list))
     Ph = P**h
     z = pow(q, n0, D * Ph) - 1
     if z % D != 0:
@@ -136,10 +129,10 @@ class CongruenceWitness:
     seed_exponent: int
 
     def modulus(self) -> int:
-        return self.t * _prod(p ** (k + self.h) for p, k in zip(self.primes, self.k_tuple))
+        return self.t * math.prod(p ** (k + self.h) for p, k in zip(self.primes, self.k_tuple))
 
     def target(self) -> int:
-        lifted = 1 + self.b * self.t * _prod(p**k for p, k in zip(self.primes, self.k_tuple))
+        lifted = 1 + self.b * self.t * math.prod(p**k for p, k in zip(self.primes, self.k_tuple))
         return lifted % self.modulus()
 
     def check(self) -> bool:
@@ -171,7 +164,7 @@ def congruence_witness(q: int, t: int, primes, h: int, k_tuple) -> CongruenceWit
     b, k0, r_list, n0 = _witness_base(q, t, primes, h)
     if any(k < k0 for k in k_tuple):
         raise PreconditionError(f"k_tuple {list(k_tuple)} below the stabilization threshold k0 = {k0}")
-    exponent = n0 * _prod(p ** (k - r) for p, k, r in zip(primes, k_tuple, r_list))
+    exponent = n0 * math.prod(p ** (k - r) for p, k, r in zip(primes, k_tuple, r_list))
     witness = CongruenceWitness(q, t, primes, h, b, k0, k_tuple, exponent, r_list, n0)
     if not witness.check():
         raise RuntimeError("internal: constructed witness fails its congruence")
@@ -252,7 +245,7 @@ def exclusion_bound(alpha, K: DigitCantorSet, primes, scan_empirical: bool = Tru
         raise PreconditionError(f"modulus list {primes}; entries must be integers >= 2")
     if len(set(primes)) != len(primes):
         raise PreconditionError(f"repeated entries in modulus list {primes}")
-    P = _prod(primes)
+    P = math.prod(primes)
     g0 = math.gcd(q, P)
     if g0 != 1:
         raise PreconditionError(f"gcd(q, prod(primes)) = gcd({q}, {P}) = {g0}, not 1")
@@ -349,19 +342,19 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple, bound: Exclusion
     if any(k < bound.k_alpha for k in k_tuple):
         raise PreconditionError(f"k_tuple {list(k_tuple)} below the certified bound k_alpha = {bound.k_alpha}")
     q = K.base
-    P = _prod(primes)
+    P = math.prod(primes)
     r = bound.reduction_r
     h = bound.h
     _, s_hat, t_hat = _reduce_value(Fraction(alpha), q, P)
     b, k0, r_list, n0 = _witness_base(q, t_hat, primes, h)
-    n = n0 * _prod(p ** (k - r - h - rj) for p, k, rj in zip(primes, k_tuple, r_list))
+    n = n0 * math.prod(p ** (k - r - h - rj) for p, k, rj in zip(primes, k_tuple, r_list))
     i_m = bound.m * pow(s_hat * bound.b_hat, -1, bound.p_hat) % bound.p_hat
     if i_m == 0:
         raise RuntimeError("internal: shift index collapsed to zero")
     exponent = r + i_m * n
-    value = Fraction(alpha) / _prod(p**k for p, k in zip(primes, k_tuple))
+    value = Fraction(alpha) / math.prod(p**k for p, k in zip(primes, k_tuple))
     residue = shift_digits(value, q, exponent)
-    expected = Fraction(s_hat, t_hat * _prod(p ** (k - r) for p, k in zip(primes, k_tuple))) + Fraction(
+    expected = Fraction(s_hat, t_hat * math.prod(p ** (k - r) for p, k in zip(primes, k_tuple))) + Fraction(
         bound.m, bound.p_hat
     )
     if residue != expected or residue not in bound.gap:

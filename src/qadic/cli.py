@@ -25,18 +25,11 @@ from qadic.rational import PreconditionError, factorize, format_rational, parse_
 __all__ = ["main"]
 
 
-def _digits_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok != "")
-    except ValueError:
-        raise PreconditionError(f"malformed digit list {text!r}; expected comma-separated integers") from None
-
-
 def _int_list_arg(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok != "")
     except ValueError:
-        raise PreconditionError(f"malformed integer list {text!r}") from None
+        raise PreconditionError(f"malformed integer list {text!r}; expected comma-separated integers") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,7 +149,7 @@ _ENUM_HEADER = ["index", "value", "member", "digit_set"]
 
 
 def _enumerate_doc(ns) -> tuple[dict | None, str | None]:
-    K = DigitCantorSet(ns.q, _digits_arg(ns.A))
+    K = DigitCantorSet(ns.q, _int_list_arg(ns.A))
     alpha = parse_rational(ns.alpha)
     geometric = ns.ratio is not None
     lattice = ns.primes is not None
@@ -189,7 +182,7 @@ def _enumerate_doc(ns) -> tuple[dict | None, str | None]:
 
 
 def _dp_doc(ns) -> tuple[dict | None, str | None]:
-    K = DigitCantorSet(ns.q, _digits_arg(ns.A))
+    K = DigitCantorSet(ns.q, _int_list_arg(ns.A))
     members = enumeration.dp_intersection(ns.p, K, ns.exp_max)
     if ns.format == "csv":
         primes = [r for r, _ in factorize(ns.p)]
@@ -208,11 +201,11 @@ def _dispatch(ns: argparse.Namespace) -> tuple[dict | None, str | None]:
         e = expand(parse_rational(ns.x), ns.q)
         return {"preperiod": list(e.preperiod), "period": list(e.period)}, None
     if cmd == "member":
-        K = DigitCantorSet(ns.q, _digits_arg(ns.A))
+        K = DigitCantorSet(ns.q, _int_list_arg(ns.A))
         x = parse_rational(ns.x)
         return {"member": K.contains(x)}, None
     if cmd == "gap":
-        K = DigitCantorSet(ns.q, _digits_arg(ns.A))
+        K = DigitCantorSet(ns.q, _int_list_arg(ns.A))
         gap = K.largest_gap
         return {"left": format_rational(gap.left), "right": format_rational(gap.right), "length": format_rational(gap.length)}, None
     if cmd == "order":
@@ -225,10 +218,10 @@ def _dispatch(ns: argparse.Namespace) -> tuple[dict | None, str | None]:
         w = congruence_witness(ns.q, ns.t, _int_list_arg(ns.primes), ns.h, _int_list_arg(ns.k))
         return w.to_dict(), None
     if cmd == "bound":
-        K = DigitCantorSet(ns.q, _digits_arg(ns.A))
+        K = DigitCantorSet(ns.q, _int_list_arg(ns.A))
         return exclusion_bound(parse_rational(ns.alpha), K, _int_list_arg(ns.primes)).to_dict(), None
     if cmd == "certify":
-        K = DigitCantorSet(ns.q, _digits_arg(ns.A))
+        K = DigitCantorSet(ns.q, _int_list_arg(ns.A))
         cert = make_certificate(parse_rational(ns.alpha), K, _int_list_arg(ns.primes), _int_list_arg(ns.k))
         return cert.to_dict(), None
     if cmd == "verify":
@@ -273,11 +266,13 @@ def main(argv=None) -> int:
             _emit(_json_text(_config_doc(ns)), ns.out)
             return 0
         doc, text = _dispatch(ns)
+        if text is None:
+            text = _json_text(doc)
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _emit(_json_text(doc) if text is None else text, ns.out)
+    _emit(text, ns.out)
     return 0

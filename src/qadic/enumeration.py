@@ -39,13 +39,6 @@ __all__ = [
 ]
 
 
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
 @dataclass(frozen=True)
 class ExceptionalReport:
     """Outcome of a bounded scan: who was a member, how far we looked, and
@@ -87,7 +80,7 @@ def _geo_point(args):
 
 def _lattice_point(args):
     alpha, primes, base, digits, k_tuple = args
-    value = alpha / _prod(p**k for p, k in zip(primes, k_tuple))
+    value = alpha / math.prod(p**k for p, k in zip(primes, k_tuple))
     K = DigitCantorSet(base, digits)
     return k_tuple, value, value <= 1 and K.contains(value)
 
@@ -153,7 +146,7 @@ def exceptional_lattice(alpha, primes, K: DigitCantorSet, box: int) -> Exception
     members = tuple(k_tuple for k_tuple, _, member in rows if member)
     guaranteed = all(split_coprime_part(p, K.base)[0] > 1 for p in primes)
     tail = None
-    if math.gcd(_prod(primes), K.base) == 1:
+    if math.gcd(math.prod(primes), K.base) == 1:
         tail = exclusion_bound(alpha, K, primes, scan_empirical=False)
     parameters = {
         "alpha": format_rational(alpha),
@@ -183,7 +176,7 @@ def dp_intersection(p: int, K: DigitCantorSet, exp_max: int) -> list[Fraction]:
     found = []
     ranges = [range(exp_max * e + 1) for _, e in factors]
     for c_tuple in itertools.product(*ranges):
-        t = _prod(r**c for (r, _), c in zip(factors, c_tuple))
+        t = math.prod(r**c for (r, _), c in zip(factors, c_tuple))
         if t == 1:
             if 0 in K.digits:
                 found.append(Fraction(0))

@@ -173,10 +173,5 @@ def shift_digits(x, q: int, n: int) -> Fraction:
         raise PreconditionError(f"shift count {n} is negative")
     if x < 0:
         raise PreconditionError(f"x = {x} is negative")
-    num = x.numerator % x.denominator
-    den = x.denominator
-    t_hat, u, v = split_coprime_part(den, q)
-    if n < v:
-        return Fraction(num * q**n, den) % 1
-    w = q**v // u
-    return Fraction(num * w % t_hat * pow(q, n - v, t_hat) % t_hat, t_hat)
+    num, den = x.numerator, x.denominator
+    return Fraction(num * pow(q, n, den) % den, den)

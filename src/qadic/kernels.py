@@ -1,45 +1,74 @@
-"""Backend selection for the digit loops.
+"""The digit loops, in pure Python; arbitrary precision, no size limits.
 
-The compiled backend (qadic._native, built from _native.pyx) handles word-size
-inputs; everything else, and installs without a compiler, goes through the
-pure-Python backend with identical semantics.
+digit_cycle, scan_allowed and digit_mask all walk the long division of
+num/den (0 <= num < den) in the given base.
 """
 
 from __future__ import annotations
 
-from qadic import _pure
-
-try:
-    from qadic import _native
-except ImportError:
-    _native = None
-
-# den * base must stay below 2**63 for the unsigned 64-bit loops
-_WORD_LIMIT = 1 << 62
-# digit_cycle allocates a position table of `den` ints
-_TABLE_LIMIT = 1 << 22
-
 
 def backend() -> str:
-    return "native+pure" if _native is not None else "pure"
+    return "pure"
 
 
-def digit_cycle(num: int, den: int, base: int) -> tuple[list[int], list[int]]:
-    if _native is not None and den <= _TABLE_LIMIT and den * base < _WORD_LIMIT:
-        return _native.digit_cycle(num, den, base)
-    return _pure.digit_cycle(num, den, base)
+def digit_cycle(num, den, base):
+    """(preperiod, period) digit lists, both minimal; terminating values get period [0]."""
+    seen = {}
+    digits = []
+    r = num
+    while r not in seen:
+        seen[r] = len(digits)
+        r *= base
+        d, r = divmod(r, den)
+        digits.append(d)
+    start = seen[r]
+    return digits[:start], digits[start:]
 
 
-def scan_allowed(num: int, den: int, base: int, mask: int, preperiod_len: int) -> bool:
-    if _native is not None and base < 64 and den * base < _WORD_LIMIT:
-        return bool(_native.scan_allowed(num, den, base, mask, preperiod_len))
-    return _pure.scan_allowed(num, den, base, mask, preperiod_len)
+def scan_allowed(num, den, base, mask, preperiod_len):
+    """True iff every digit of the expansion has its bit set in mask.
+
+    Walks the preperiod then exactly one period, stopping at the first digit
+    outside the mask.  num/den must be in lowest terms and preperiod_len must
+    be at least the true preperiod length, or the walk will not terminate.
+    """
+    r = num
+    for _ in range(preperiod_len):
+        r *= base
+        d, r = divmod(r, den)
+        if not (mask >> d) & 1:
+            return False
+    sentinel = r
+    while True:
+        r *= base
+        d, r = divmod(r, den)
+        if not (mask >> d) & 1:
+            return False
+        if r == sentinel:
+            return True
 
 
-def digit_mask(num: int, den: int, base: int, preperiod_len: int) -> int:
-    if _native is not None and base < 64 and den * base < _WORD_LIMIT:
-        return _native.digit_mask(num, den, base, preperiod_len)
-    return _pure.digit_mask(num, den, base, preperiod_len)
+def digit_mask(num, den, base, preperiod_len):
+    """Bitmask of the digits occurring in the expansion.
+
+    Stops early once all `base` digits have been seen; otherwise walks the
+    preperiod plus one full period."""
+    full = (1 << base) - 1
+    mask = 0
+    r = num
+    for _ in range(preperiod_len):
+        r *= base
+        d, r = divmod(r, den)
+        mask |= 1 << d
+        if mask == full:
+            return mask
+    sentinel = r
+    while True:
+        r *= base
+        d, r = divmod(r, den)
+        mask |= 1 << d
+        if mask == full or r == sentinel:
+            return mask
 
 
 def mask_of(digits) -> int:

@@ -122,6 +122,18 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: RuntimeError")
 
 
+def test_unprintable_result_is_internal_error(capsys, tmp_path):
+    # b for p=101, q=3 has more than 4300 digits, past the int-to-str limit of json.dumps
+    out_path = tmp_path / "stab.json"
+    for extra in ((), ("--out", str(out_path))):
+        code, out, err = run_cli(capsys, "stabilize", "--p", "101", "--q", "3", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal error: ValueError")
+        assert err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_csv_limited_to_tables(capsys):
     code, _, err = run_cli(capsys, "expand", "--x", "1/8", "--q", "3", "--format", "csv")
     assert code == 2

@@ -1,21 +1,10 @@
 import math
 import random
-
-import pytest
+from fractions import Fraction
 
 from qadic import kernels
-from qadic._pure import digit_cycle as pure_cycle
-from qadic._pure import digit_mask as pure_mask
-from qadic._pure import scan_allowed as pure_scan
 from qadic.expansion import expand
 from qadic.rational import split_coprime_part
-
-try:
-    from qadic import _native
-except ImportError:
-    _native = None
-
-needs_native = pytest.mark.skipif(_native is None, reason="compiled backend absent")
 
 
 def _samples(count, den_max, seed):
@@ -30,60 +19,57 @@ def _samples(count, den_max, seed):
     return out
 
 
+def _long_division(num, den, base):
+    """(preperiod, period) of num/den, stepping a Fraction until it recurs."""
+    x = Fraction(num, den)
+    seen = {}
+    digits = []
+    while x not in seen:
+        seen[x] = len(digits)
+        x *= base
+        d = math.floor(x)
+        digits.append(d)
+        x -= d
+    start = seen[x]
+    return digits[:start], digits[start:]
+
+
+# lowest terms, denominators of 70 to 85 bits, each with a period short enough
+# to walk whole; the last three use every digit of their base
+WIDE = [
+    (12347, 2**70 - 1, 2),
+    (1, 2**5 * (2**80 - 1), 2),
+    (1, 3**45 - 1, 3),
+    (7, 2 * (3**50 + 1), 3),
+    (3, 5**3 * (5**31 - 1), 5),
+    (3, 7 * 10**21, 10),
+    (5, 3**47 + 1, 3),
+    (123456781, 10**22 - 1, 10),
+    (1234567891, 10**22 - 1, 10),
+]
+
+
 def test_backend_reports_mode():
-    assert kernels.backend() in ("native+pure", "pure")
+    assert kernels.backend() == "pure"
 
 
-@needs_native
-def test_cycle_parity():
-    for num, den, base in _samples(400, 50_000, 2101):
-        assert _native.digit_cycle(num, den, base) == pure_cycle(num, den, base)
-    assert _native.digit_cycle(0, 1, 7) == pure_cycle(0, 1, 7) == ([], [0])
-
-
-@needs_native
-def test_scan_parity():
-    rng = random.Random(2102)
-    for num, den, base in _samples(400, 50_000, 2103):
-        mask = rng.randrange(1, 1 << base)
-        _, _, v = split_coprime_part(den, base)
+def test_loops_match_long_division_beyond_64_bits():
+    for num, den, base in WIDE:
+        assert den.bit_length() >= 70 and math.gcd(num, den) == 1
+        pre, per = _long_division(num, den, base)
+        assert kernels.digit_cycle(num, den, base) == (pre, per)
+        used = set(pre) | set(per)
+        used_mask = sum(1 << d for d in used)
+        assert kernels.digit_mask(num, den, base, len(pre)) == used_mask
         for pad in (0, 3):
-            got = bool(_native.scan_allowed(num, den, base, mask, v + pad))
-            assert got == pure_scan(num, den, base, mask, v + pad)
-
-
-@needs_native
-def test_mask_parity():
-    for num, den, base in _samples(400, 50_000, 2104):
-        _, _, v = split_coprime_part(den, base)
-        assert _native.digit_mask(num, den, base, v) == pure_mask(num, den, base, v)
-
-
-def test_dispatcher_handles_oversize_inputs():
-    # beyond the 64-bit window the wrapper must fall back to the pure loops
-    den = (1 << 70) - 1
-    num = 12345
-    assert kernels.digit_cycle(num, den, 2) == pure_cycle(num, den, 2)
-    _, _, v = split_coprime_part(den, 3)
-    mask = 0b011
-    assert kernels.scan_allowed(num, den, 3, mask, v) == pure_scan(num, den, 3, mask, v)
-    assert kernels.digit_mask(num, den, 3, v) == pure_mask(num, den, 3, v)
-
-
-@needs_native
-def test_native_table_limit_boundary():
-    # just under the table limit stays native-eligible; just over must agree
-    # anyway because the wrapper reroutes
-    for den in ((1 << 22) - 1, (1 << 22) + 1):
-        num = den // 3
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-        assert kernels.digit_cycle(num, den, 10) == pure_cycle(num, den, 10)
+            v = len(pre) + pad
+            assert kernels.scan_allowed(num, den, base, used_mask, v)
+            assert kernels.scan_allowed(num, den, base, (1 << base) - 1, v)
+            for d in used:
+                assert not kernels.scan_allowed(num, den, base, used_mask & ~(1 << d), v)
 
 
 def test_cycle_matches_expansion_type():
-    from fractions import Fraction
-
     for num, den, base in _samples(80, 3_000, 2105):
         pre, per = kernels.digit_cycle(num, den, base)
         e = expand(Fraction(num, den), base)
