@@ -5,18 +5,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-from qadic.rational import PreconditionError
+from qadic.rational import parse_natural
 
 
 def worker_count() -> int:
     """Workers to use: QADIC_THREADS, with 0 or unset meaning serial."""
-    raw = os.environ.get("QADIC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise PreconditionError(f"QADIC_THREADS = {raw!r}; need a nonnegative integer") from None
-    if n < 0:
-        raise PreconditionError(f"QADIC_THREADS = {n}; need a nonnegative integer")
+    n = parse_natural(os.environ.get("QADIC_THREADS", "0").strip(), "QADIC_THREADS")
     return n if n > 1 else 1
 
 

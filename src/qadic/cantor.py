@@ -11,7 +11,7 @@ from functools import cached_property
 
 from qadic import kernels
 from qadic.expansion import expand, shift_digits
-from qadic.rational import PreconditionError, split_coprime_part
+from qadic.rational import PreconditionError, parse_rational, require, require_digits, split_coprime_part
 
 __all__ = ["Gap", "DigitCantorSet"]
 
@@ -40,9 +40,7 @@ class Gap:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Gap":
-        from qadic.rational import parse_rational
-
-        return cls(Fraction(parse_rational(data["left"])), Fraction(parse_rational(data["right"])))
+        return cls(Fraction(parse_rational(data.get("left"))), Fraction(parse_rational(data.get("right"))))
 
 
 @dataclass(frozen=True)
@@ -56,11 +54,8 @@ class DigitCantorSet:
 
     def __post_init__(self):
         object.__setattr__(self, "digits", tuple(sorted(set(self.digits))))
-        if self.base < 3:
-            raise PreconditionError(f"base q = {self.base}; need q >= 3")
-        for d in self.digits:
-            if not isinstance(d, int) or not 0 <= d < self.base:
-                raise PreconditionError(f"digit {d!r} out of range for base {self.base}")
+        require("q", self.base, 3)
+        require_digits(self.digits, self.base)
         if not 1 < len(self.digits) < self.base:
             raise PreconditionError(
                 f"digit set {self.digits} has {len(self.digits)} elements; need 1 < #A < q = {self.base}"

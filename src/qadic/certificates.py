@@ -11,14 +11,24 @@ the base, the digit set and the exponent.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from qadic.cantor import DigitCantorSet, Gap
 from qadic.expansion import shift_digits
-from qadic.rational import PreconditionError, euler_phi, factorize, format_rational, parse_rational
+from qadic.rational import (
+    PreconditionError,
+    euler_phi,
+    factorize,
+    format_rational,
+    modulus_list,
+    parse_natural,
+    parse_rational,
+    require,
+    require_coprime,
+    require_digits,
+)
 
 __all__ = [
     "CongruenceWitness",
@@ -32,35 +42,21 @@ __all__ = [
 ]
 
 
-def _check_witness_inputs(q: int, t: int, primes, h: int):
-    if q < 2:
-        raise PreconditionError(f"q = {q}; need q >= 2")
-    if t < 1:
-        raise PreconditionError(f"t = {t}; need t >= 1")
-    if h < 1:
-        raise PreconditionError(f"h = {h}; need h >= 1")
-    if not primes:
-        raise PreconditionError("empty modulus list")
-    if len(set(primes)) != len(primes):
-        raise PreconditionError(f"repeated entries in modulus list {primes}")
-    for p in primes:
-        if not isinstance(p, int) or p < 2:
-            raise PreconditionError(f"modulus {p!r}; entries must be integers >= 2")
-    g = math.gcd(q, t * math.prod(primes))
-    if g != 1:
-        raise PreconditionError(f"gcd(q, t*prod) = gcd({q}, {t * math.prod(primes)}) = {g}, not 1")
-
-
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def _witness_base(q: int, t: int, primes: tuple[int, ...], h: int):
     """Shared data behind every witness for (q, t, primes, h).
 
     Writes q**n0 - 1 = a * t * prod(p_j**r_j) with every r_j >= h+1 and no p_j
     dividing a, entirely through modular arithmetic (q**n0 itself is never
     materialized), and returns (b, k0, r_list, n0) where b = a mod (prod p)^h.
+    The callers check primes with modulus_list before the lookup: the cache
+    key would equate an entry 3.0 with 3.
     """
-    _check_witness_inputs(q, t, primes, h)
+    require("q", q, 2)
+    require("t", t, 1)
+    require("h", h, 1)
     P = math.prod(primes)
+    require_coprime(q, t * P, "q must be coprime to t times the moduli")
     n0 = euler_phi(t * P ** (h + 1))
     support = {p: dict(factorize(p)) for p in primes}
     t_val = {r: 0 for p in primes for r in support[p]}
@@ -156,8 +152,8 @@ def congruence_witness(q: int, t: int, primes, h: int, k_tuple) -> CongruenceWit
     """Construct and verify the witness for the given exponent tuple.
 
     Every k_j must reach the internal threshold k0 (reported in the error if
-    not); the congruence is checked by mod_pow before returning."""
-    primes = tuple(primes)
+    not); the congruence is rechecked by modular exponentiation before returning."""
+    primes = modulus_list(primes)
     k_tuple = tuple(k_tuple)
     if len(k_tuple) != len(primes):
         raise PreconditionError(f"k_tuple has {len(k_tuple)} entries for {len(primes)} moduli")
@@ -239,16 +235,10 @@ def exclusion_bound(alpha, K: DigitCantorSet, primes, scan_empirical: bool = Tru
     minimal h with 2**h > 1/g; split the witness residue b into b_hat/p_hat;
     choose the smallest m with x < m/p_hat < y; then the minimal k_alpha with
     k_alpha >= k0 + 2h whose tail drops below y - m/p_hat."""
-    primes = tuple(primes)
+    primes = modulus_list(primes)
     q = K.base
-    if not primes or any(not isinstance(p, int) or p < 2 for p in primes):
-        raise PreconditionError(f"modulus list {primes}; entries must be integers >= 2")
-    if len(set(primes)) != len(primes):
-        raise PreconditionError(f"repeated entries in modulus list {primes}")
     P = math.prod(primes)
-    g0 = math.gcd(q, P)
-    if g0 != 1:
-        raise PreconditionError(f"gcd(q, prod(primes)) = gcd({q}, {P}) = {g0}, not 1")
+    require_coprime(q, P, "q must be coprime to the moduli")
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise PreconditionError(f"alpha = {alpha}; need alpha > 0")
@@ -309,21 +299,34 @@ class ExclusionCertificate:
         }
 
 
-_NATURAL_RE = re.compile(r"\d+")
+def _field(data: dict, key: str, kind: type):
+    value = data.get(key)
+    if type(value) is not kind:
+        raise PreconditionError(f"certificate field {key!r} = {value!r}; need a JSON {kind.__name__}")
+    return value
 
 
 def certificate_from_dict(data: dict) -> ExclusionCertificate:
-    """Rebuild a certificate from its JSON form, validating every field."""
-    exponent_text = data["exponent"]
-    if not isinstance(exponent_text, str) or not _NATURAL_RE.fullmatch(exponent_text):
-        raise PreconditionError(f"malformed exponent {exponent_text!r}")
+    """Rebuild a certificate from its JSON form; the schema is strict.
+
+    base must be an int (not a bool, float or string), digits a strictly
+    increasing list of ints in [0, base), value and residue "s/t" strings,
+    exponent a string of decimal digits, and gap an object whose left and
+    right are "s/t" strings.  Anything else raises PreconditionError."""
+    if not isinstance(data, dict):
+        raise PreconditionError(f"certificate must be a JSON object, not {type(data).__name__}")
+    base = _field(data, "base", int)
+    digits = tuple(_field(data, "digits", list))
+    require_digits(digits, base)
+    if any(a >= b for a, b in zip(digits, digits[1:])):
+        raise PreconditionError(f"certificate digits {list(digits)} are not strictly increasing")
     return ExclusionCertificate(
-        value=Fraction(parse_rational(data["value"])),
-        base=int(data["base"]),
-        digits=tuple(int(d) for d in data["digits"]),
-        exponent=int(exponent_text),
-        residue=Fraction(parse_rational(data["residue"])),
-        gap=Gap.from_dict(data["gap"]),
+        value=Fraction(parse_rational(_field(data, "value", str))),
+        base=base,
+        digits=digits,
+        exponent=parse_natural(data.get("exponent"), "exponent"),
+        residue=Fraction(parse_rational(_field(data, "residue", str))),
+        gap=Gap.from_dict(_field(data, "gap", dict)),
     )
 
 
@@ -333,7 +336,7 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple, bound: Exclusion
     Uses the witness for the h-shifted exponents and the modular inverse that
     steers the shifted orbit point onto m/p_hat inside the gap; the exponent
     may be astronomically large, but only its residue behavior matters."""
-    primes = tuple(primes)
+    primes = modulus_list(primes)
     k_tuple = tuple(k_tuple)
     if len(k_tuple) != len(primes):
         raise PreconditionError(f"k_tuple has {len(k_tuple)} entries for {len(primes)} moduli")
@@ -366,13 +369,14 @@ def verify_certificate(cert) -> bool:
     """True iff the residue recomputed from (value, exponent) lies strictly in the
     largest gap recomputed from (base, digits).
 
-    Total: malformed input returns False.  A True answer is a sound proof that
-    value is not in the set."""
+    Malformed input (anything that raises PreconditionError) returns False;
+    any other exception is a fault and propagates.  A True answer is a sound
+    proof that value is not in the set."""
     try:
-        if isinstance(cert, dict):
+        if not isinstance(cert, ExclusionCertificate):
             cert = certificate_from_dict(cert)
         K = DigitCantorSet(cert.base, cert.digits)
         residue = shift_digits(cert.value, cert.base, cert.exponent)
         return residue in K.largest_gap
-    except Exception:
+    except PreconditionError:
         return False

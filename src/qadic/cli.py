@@ -20,16 +20,16 @@ from qadic.cantor import DigitCantorSet
 from qadic.certificates import congruence_witness, exclusion_bound, make_certificate, verify_certificate
 from qadic.expansion import digit_set, expand
 from qadic.orders import coset_decomposition, mult_order, order_stabilization
-from qadic.rational import PreconditionError, factorize, format_rational, parse_rational, valuation
+from qadic.rational import PreconditionError, factorize, format_rational, parse_natural, parse_rational, valuation
 
 __all__ = ["main"]
 
 
 def _int_list_arg(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok != "")
-    except ValueError:
-        raise PreconditionError(f"malformed integer list {text!r}; expected comma-separated integers") from None
+        return tuple(parse_natural(tok.strip()) for tok in text.split(","))
+    except PreconditionError as exc:
+        raise PreconditionError(f"malformed integer list {text!r}: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -230,7 +230,7 @@ def _dispatch(ns: argparse.Namespace) -> tuple[dict | None, str | None]:
                 data = json.load(fh)
         except OSError as exc:
             raise PreconditionError(f"cannot read certificate file {ns.cert!r}: {exc}") from None
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, not UTF-8, or an integer past the conversion limit
             return {"valid": False}, None
         return {"valid": verify_certificate(data)}, None
     if cmd == "enumerate":

@@ -23,6 +23,9 @@ from qadic.rational import (
     factorize,
     format_rational,
     integer_root,
+    modulus_list,
+    require,
+    require_coprime,
     split_coprime_part,
 )
 
@@ -89,8 +92,7 @@ def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[in
     """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member)."""
     alpha, ratio = Fraction(alpha), Fraction(ratio)
     _check_scale(alpha, ratio)
-    if k_max < 0:
-        raise PreconditionError(f"k_max = {k_max}; need k_max >= 0")
+    require("k_max", k_max, 0)
     args = [(alpha, ratio, K.base, K.digits, k) for k in range(k_max + 1)]
     return _par.pmap(_geo_point, args)
 
@@ -123,13 +125,8 @@ def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple
     """Evaluate alpha / prod(p_j**k_j) over [0, box]^l in lexicographic order."""
     alpha = Fraction(alpha)
     _check_scale(alpha, None)
-    primes = tuple(primes)
-    if not primes or any(not isinstance(p, int) or p < 2 for p in primes):
-        raise PreconditionError(f"modulus list {primes}; entries must be integers >= 2")
-    if len(set(primes)) != len(primes):
-        raise PreconditionError(f"repeated entries in modulus list {primes}")
-    if box < 0:
-        raise PreconditionError(f"box = {box}; need box >= 0")
+    primes = modulus_list(primes)
+    require("box", box, 0)
     args = [
         (alpha, primes, K.base, K.digits, k_tuple)
         for k_tuple in itertools.product(range(box + 1), repeat=len(primes))
@@ -165,13 +162,9 @@ def dp_intersection(p: int, K: DigitCantorSet, exp_max: int) -> list[Fraction]:
     denominator, so only one numerator per orbit is tested; positive orbits
     are then expanded in full.  0 (the denominator-1 cell) is a member exactly
     when 0 is an allowed digit."""
-    if p < 2:
-        raise PreconditionError(f"p = {p}; need p >= 2")
-    g = math.gcd(p, K.base)
-    if g != 1:
-        raise PreconditionError(f"gcd(p, q) = gcd({p}, {K.base}) = {g}, not 1")
-    if exp_max < 0:
-        raise PreconditionError(f"exp_max = {exp_max}; need exp_max >= 0")
+    require("p", p, 2)
+    require_coprime(p, K.base, "p must be coprime to q")
+    require("exp_max", exp_max, 0)
     factors = factorize(p)
     found = []
     ranges = [range(exp_max * e + 1) for _, e in factors]
@@ -195,12 +188,10 @@ def all_digits_onset(alpha, ratio, q: int, k_max: int) -> int | None:
     None when the last scanned index still misses a digit (no onset shown
     within the bound).  Indices whose value exceeds or reaches 1 count as not
     full."""
-    if q < 3:
-        raise PreconditionError(f"q = {q}; need q >= 3")
+    require("q", q, 3)
     alpha, ratio = Fraction(alpha), Fraction(ratio)
     _check_scale(alpha, ratio)
-    if k_max < 0:
-        raise PreconditionError(f"k_max = {k_max}; need k_max >= 0")
+    require("k_max", k_max, 0)
     every = set(range(q))
     last_bad = -1
     for k in range(k_max + 1):
@@ -215,10 +206,8 @@ def all_digits_onset(alpha, ratio, q: int, k_max: int) -> int | None:
 def euclid_witness(q: int, k: int) -> tuple[Fraction, ExpansionQ, bool]:
     """x_k = q**k / (q**(k+1) - 1), its expansion, and the check that the
     expansion is purely periodic with period one 1 followed by k zeros."""
-    if q < 3:
-        raise PreconditionError(f"q = {q}; need q >= 3")
-    if k < 1:
-        raise PreconditionError(f"k = {k}; need k >= 1")
+    require("q", q, 3)
+    require("k", k, 1)
     x = Fraction(q**k, q ** (k + 1) - 1)
     e = expand(x, q)
     ok = e.preperiod == () and e.period == (1,) + (0,) * k
@@ -238,8 +227,8 @@ def mult_dependence(p: int, q: int) -> tuple[int, int] | None:
     """Minimal (a, b) with p**a == q**b, or None if no power coincidence exists.
 
     Existence is equivalent to log p / log q being rational."""
-    if p < 2 or q < 2:
-        raise PreconditionError(f"(p, q) = ({p}, {q}); need both >= 2")
+    require("p", p, 2)
+    require("q", q, 2)
     base_p, e_p = _primitive_power(p)
     base_q, e_q = _primitive_power(q)
     if base_p != base_q:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qadic import kernels
-from qadic.rational import PreconditionError, split_coprime_part
+from qadic.rational import PreconditionError, require, require_digits, split_coprime_part
 
 __all__ = [
     "ExpansionQ",
@@ -34,13 +34,10 @@ class ExpansionQ:
     period: tuple[int, ...]
 
     def __post_init__(self):
-        if self.base < 2:
-            raise PreconditionError(f"base = {self.base}; need base >= 2")
+        require("base", self.base, 2)
         if not self.period:
             raise PreconditionError("empty period; terminating expansions use period (0,)")
-        for d in self.preperiod + self.period:
-            if not isinstance(d, int) or not 0 <= d < self.base:
-                raise PreconditionError(f"digit {d!r} out of range for base {self.base}")
+        require_digits(self.preperiod + self.period, self.base)
         n = len(self.period)
         for k in range(1, n):
             if n % k == 0 and self.period == self.period[:k] * (n // k):
@@ -62,8 +59,7 @@ class ExpansionQ:
 
     def digit(self, i: int) -> int:
         """The i-th digit, i >= 1, by indexing rather than materializing."""
-        if i < 1:
-            raise PreconditionError(f"digit index {i}; positions start at 1")
+        require("i", i, 1)
         v = len(self.preperiod)
         if i <= v:
             return self.preperiod[i - 1]
@@ -71,8 +67,7 @@ class ExpansionQ:
 
     def prefix(self, n: int) -> tuple[int, ...]:
         """The first n digits."""
-        if n < 0:
-            raise PreconditionError(f"prefix length {n} is negative")
+        require("n", n, 0)
         v = len(self.preperiod)
         if n <= v:
             return self.preperiod[:n]
@@ -94,8 +89,7 @@ class ExpansionQ:
 
 
 def _check_expansion_domain(x, q: int):
-    if q < 2:
-        raise PreconditionError(f"base q = {q}; need q >= 2")
+    require("q", q, 2)
     if not 0 <= x < 1:
         raise PreconditionError(f"x = {x} outside the expansion domain [0, 1)")
 
@@ -132,8 +126,7 @@ def blocks_present(x, q: int, m: int) -> set[tuple[int, ...]]:
     """All length-m digit blocks occurring in the canonical expansion of x.
 
     The preperiod plus m copies of the period cover every block phase."""
-    if m < 1:
-        raise PreconditionError(f"block length m = {m}; need m >= 1")
+    require("m", m, 1)
     e = expand(x, q)
     digits = e.preperiod + e.period * m
     return {digits[i : i + m] for i in range(len(digits) - m + 1)}
@@ -155,8 +148,7 @@ def alternate_expansion(x, q: int) -> ExpansionQ | None:
 
 def is_finite_expansion(x, p: int) -> bool:
     """True iff x in [0, 1] has a terminating base-p expansion (denominator divides p**n)."""
-    if p < 2:
-        raise PreconditionError(f"base p = {p}; need p >= 2")
+    require("p", p, 2)
     if not 0 <= x <= 1:
         raise PreconditionError(f"x = {x} outside [0, 1]")
     t_hat, _, _ = split_coprime_part(x.denominator, p)
@@ -167,10 +159,8 @@ def shift_digits(x, q: int, n: int) -> Fraction:
     """q**n * x mod 1, computed exactly; n may be astronomically large.
 
     This is the n-step left shift of the digit string of x."""
-    if q < 2:
-        raise PreconditionError(f"base q = {q}; need q >= 2")
-    if n < 0:
-        raise PreconditionError(f"shift count {n} is negative")
+    require("q", q, 2)
+    require("n", n, 0)
     if x < 0:
         raise PreconditionError(f"x = {x} is negative")
     num, den = x.numerator, x.denominator

@@ -5,7 +5,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from qadic.rational import PreconditionError, euler_phi, factorize, is_prime, valuation
+from qadic.rational import (
+    PreconditionError,
+    euler_phi,
+    factorize,
+    is_prime,
+    modulus_list,
+    require,
+    require_coprime,
+    valuation,
+)
 
 __all__ = [
     "mult_order",
@@ -22,19 +31,12 @@ __all__ = [
 ]
 
 
-def _require_coprime(a: int, m: int, what: str):
-    g = math.gcd(a, m)
-    if g != 1:
-        raise PreconditionError(f"{what}: gcd({a}, {m}) = {g}, not 1")
-
-
 def mult_order(a: int, m: int) -> int:
     """Least n >= 1 with a**n = 1 mod m; needs gcd(a, m) = 1.
 
     Starts from Euler phi and strips prime factors that keep the power at 1."""
-    if m < 1:
-        raise PreconditionError(f"modulus m = {m}; need m >= 1")
-    _require_coprime(a, m, "order undefined")
+    require("m", m, 1)
+    require_coprime(a, m, "order undefined")
     if m == 1:
         return 1
     order = euler_phi(m)
@@ -65,9 +67,8 @@ def order_stabilization(p: int, q: int) -> OrderStabilization:
     """Stabilization data for ord(q) modulo powers of the prime p."""
     if not is_prime(p):
         raise PreconditionError(f"p = {p} is not prime")
-    if q < 2:
-        raise PreconditionError(f"q = {q}; need q >= 2")
-    _require_coprime(q, p, "stabilization undefined")
+    require("q", q, 2)
+    require_coprime(q, p, "stabilization undefined")
     d2 = mult_order(q, p * p)
     z = q**d2 - 1
     k0 = valuation(z, p)
@@ -79,8 +80,7 @@ def order_stabilization(p: int, q: int) -> OrderStabilization:
 
 def order_of_prime_power(p: int, q: int, k: int) -> int:
     """ord of q modulo p**k, via the stabilization formula once k reaches k0."""
-    if k < 1:
-        raise PreconditionError(f"exponent k = {k}; need k >= 1")
+    require("k", k, 1)
     stab = order_stabilization(p, q)
     if k >= stab.k0:
         return p ** (k - stab.k0) * stab.order
@@ -89,24 +89,18 @@ def order_of_prime_power(p: int, q: int, k: int) -> int:
 
 def order_lcm(a: int, m1: int, m2: int) -> int:
     """ord of a modulo m1*m2 for coprime m1, m2, as the lcm of the parts."""
-    g = math.gcd(m1, m2)
-    if g != 1:
-        raise PreconditionError(f"moduli share the factor gcd({m1}, {m2}) = {g}")
+    require_coprime(m1, m2, "moduli must be coprime")
     n1 = mult_order(a, m1)
     n2 = mult_order(a, m2)
     return n1 // math.gcd(n1, n2) * n2
 
 
-def _distinct_primes(primes, q: int) -> tuple[int, ...]:
-    primes = tuple(primes)
-    if not primes:
-        raise PreconditionError("empty prime list")
-    if len(set(primes)) != len(primes):
-        raise PreconditionError(f"repeated entries in prime list {primes}")
+def _distinct_primes(primes) -> tuple[int, ...]:
+    # every entry is checked before any order is computed
+    primes = modulus_list(primes)
     for p in primes:
         if not is_prime(p):
             raise PreconditionError(f"p = {p} is not prime")
-        _require_coprime(q, p, "stabilization undefined")
     return primes
 
 
@@ -126,7 +120,7 @@ def product_stabilization(primes, q: int) -> int:
     the stabilization argument (max r-exponent plus max k0), which need not be
     minimal; the identity is verified internally on the {n0, n0+1} grid.
     """
-    primes = _distinct_primes(primes, q)
+    primes = _distinct_primes(primes)
     stabs = [order_stabilization(p, q) for p in primes]
     r_max = 0
     for j, stab in enumerate(stabs):
@@ -145,7 +139,7 @@ def product_stabilization_minimal(primes, q: int) -> int:
 
     Only the {n, n+1} grid is verified, so this is a search result, not a
     proof constant."""
-    primes = _distinct_primes(primes, q)
+    primes = _distinct_primes(primes)
     stabs = [order_stabilization(p, q) for p in primes]
     n = 1
     while True:
@@ -190,9 +184,8 @@ class CosetDecomposition:
 
 def coset_decomposition(m: int, q: int) -> CosetDecomposition:
     """Orbit decomposition of the units mod m under multiplication by q."""
-    if m < 1:
-        raise PreconditionError(f"modulus m = {m}; need m >= 1")
-    _require_coprime(q, m, "decomposition undefined")
+    require("m", m, 1)
+    require_coprime(q, m, "decomposition undefined")
     if m == 1:
         return CosetDecomposition(1, q, 1, (1,))
     order = mult_order(q, m)
@@ -217,12 +210,11 @@ def coset_decomposition(m: int, q: int) -> CosetDecomposition:
 
 def orbit_of(a: int, q: int, m: int) -> list[int]:
     """The orbit of the unit a under multiplication by q mod m, starting at a."""
-    if m < 1:
-        raise PreconditionError(f"modulus m = {m}; need m >= 1")
-    _require_coprime(q, m, "orbit undefined")
+    require("m", m, 1)
+    require_coprime(q, m, "orbit undefined")
     if m == 1:
         return [1]
-    _require_coprime(a, m, "not a unit")
+    require_coprime(a, m, "not a unit")
     out = [a % m]
     x = a * q % m
     while x != out[0]:
@@ -233,13 +225,12 @@ def orbit_of(a: int, q: int, m: int) -> list[int]:
 
 def orbit_witness(x: int, y: int, q: int, m: int) -> int | None:
     """Least n >= 1 with q**n * x = y mod m, or None if y is outside the orbit of x."""
-    if m < 1:
-        raise PreconditionError(f"modulus m = {m}; need m >= 1")
-    _require_coprime(q, m, "orbit undefined")
+    require("m", m, 1)
+    require_coprime(q, m, "orbit undefined")
     if m == 1:
         return 1
-    _require_coprime(x, m, "x is not a unit")
-    _require_coprime(y, m, "y is not a unit")
+    require_coprime(x, m, "x is not a unit")
+    require_coprime(y, m, "y is not a unit")
     order = mult_order(q, m)
     cur = x % m
     target = y % m

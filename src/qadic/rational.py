@@ -1,4 +1,6 @@
-"""Exact nonnegative rationals and the elementary number theory used everywhere else.
+"""Exact nonnegative rationals, the elementary number theory used everywhere
+else, and the precondition checks every module shares (`require`,
+`require_coprime`, `require_digits`, `modulus_list`, `parse_natural`).
 
 Integers are plain Python ints (arbitrary precision, always exact); rationals
 are `fractions.Fraction` values, kept in lowest terms by construction.
@@ -17,10 +19,12 @@ __all__ = [
     "PreconditionError",
     "Rational",
     "parse_rational",
+    "parse_natural",
     "format_rational",
-    "gcd",
-    "lcm",
-    "mod_pow",
+    "require",
+    "require_coprime",
+    "require_digits",
+    "modulus_list",
     "is_prime",
     "factorize",
     "euler_phi",
@@ -53,14 +57,31 @@ _RATIONAL_RE = re.compile(r"\s*(\d+)\s*(?:/\s*(\d+))?\s*")
 
 def parse_rational(text: str) -> Rational:
     """Parse "num/den" (or a bare natural) into a Rational; float syntax is rejected."""
-    m = _RATIONAL_RE.fullmatch(text)
+    m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if not m:
         raise PreconditionError(f'malformed rational {text!r}; expected "num/den" with decimal integers')
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = _to_int(m.group(1))
+    den = _to_int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise PreconditionError(f"zero denominator in {text!r}")
     return Rational(num, den)
+
+
+_NATURAL_RE = re.compile(r"[0-9]+")
+
+
+def parse_natural(text: str, what: str = "integer") -> int:
+    """Parse a nonempty run of ASCII digits; signs, spaces and other syntax are rejected."""
+    if not isinstance(text, str) or not _NATURAL_RE.fullmatch(text):
+        raise PreconditionError(f"malformed {what} {text!r}; expected decimal digits 0-9")
+    return _to_int(text)
+
+
+def _to_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past Python's int-to-str conversion limit
+        raise PreconditionError(f"integer of {len(digits)} digits exceeds Python's int conversion limit") from None
 
 
 def format_rational(x) -> str:
@@ -68,31 +89,37 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _require(name: str, value: int, minimum: int):
-    if not isinstance(value, int):
+def require(name: str, value: int, minimum: int):
+    """Raise unless value is a plain int (a bool is not one) and at least minimum."""
+    if type(value) is not int:
         raise PreconditionError(f"{name} = {value!r} is not an integer")
     if value < minimum:
         raise PreconditionError(f"{name} = {value}; need {name} >= {minimum}")
 
 
-def gcd(a: int, b: int) -> int:
-    _require("a", a, 0)
-    _require("b", b, 0)
-    return math.gcd(a, b)
+def require_coprime(a: int, m: int, what: str):
+    g = math.gcd(a, m)
+    if g != 1:
+        raise PreconditionError(f"{what}: gcd({a}, {m}) = {g}, not 1")
 
 
-def lcm(a: int, b: int) -> int:
-    _require("a", a, 1)
-    _require("b", b, 1)
-    return a // math.gcd(a, b) * b
+def require_digits(digits, base: int):
+    """Every digit must be a plain int (a bool is not one) in [0, base)."""
+    for d in digits:
+        if type(d) is not int or not 0 <= d < base:
+            raise PreconditionError(f"digit {d!r} out of range for base {base}")
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus in time logarithmic in the exponent."""
-    _require("base", base, 0)
-    _require("exponent", exponent, 0)
-    _require("modulus", modulus, 1)
-    return pow(base, exponent, modulus)
+def modulus_list(values) -> tuple[int, ...]:
+    """The moduli p_1..p_l as a tuple; they must be nonempty, distinct integers >= 2."""
+    values = tuple(values)
+    if not values:
+        raise PreconditionError("empty modulus list")
+    for p in values:
+        require("modulus", p, 2)
+    if len(set(values)) != len(values):
+        raise PreconditionError(f"repeated entries in modulus list {values}")
+    return values
 
 
 _TRIAL_LIMIT = 1_000_000
@@ -242,7 +269,7 @@ def _factor_hard(n: int, out: dict):
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as a sorted list of (prime, exponent) pairs."""
-    _require("n", n, 1)
+    require("n", n, 1)
     out: dict[int, int] = {}
     m = n
     for p in _small_primes():
@@ -261,7 +288,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def euler_phi(n: int) -> int:
-    _require("n", n, 1)
+    require("n", n, 1)
     result = n
     for p, _ in factorize(n):
         result -= result // p
@@ -272,8 +299,8 @@ def split_coprime_part(t: int, q: int) -> tuple[int, int, int]:
     """Split t = t_hat * u with gcd(t_hat, q) = 1 and u | q**v, v minimal.
 
     Returns (t_hat, u, v)."""
-    _require("t", t, 1)
-    _require("q", q, 2)
+    require("t", t, 1)
+    require("q", q, 2)
     t_hat = t
     g = math.gcd(t_hat, q)
     while g > 1:
@@ -288,8 +315,8 @@ def split_coprime_part(t: int, q: int) -> tuple[int, int, int]:
 
 def valuation(n: int, p: int) -> int:
     """Largest e with p**e dividing n (n >= 1, p >= 2)."""
-    _require("n", n, 1)
-    _require("p", p, 2)
+    require("n", n, 1)
+    require("p", p, 2)
     e = 0
     while n % p == 0:
         n //= p
@@ -299,8 +326,8 @@ def valuation(n: int, p: int) -> int:
 
 def integer_root(n: int, k: int) -> int:
     """Floor of the k-th root of n, exactly."""
-    _require("n", n, 0)
-    _require("k", k, 1)
+    require("n", n, 0)
+    require("k", k, 1)
     if n < 2 or k == 1:
         return n
     x = 1 << ((n.bit_length() - 1) // k + 1)

@@ -209,12 +209,47 @@ def test_verify_total_on_malformed():
         lambda d: d.update(base=2),
         lambda d: d.update(digits=[0, 1, 2]),
         lambda d: d.update(value="9/8"),
+        # the strict schema: none of these is coerced into a valid certificate
+        lambda d: d.update(base=3.9),
+        lambda d: d.update(base="3"),
+        lambda d: d.update(base=True),
+        lambda d: d.update(digits=[0, 1.7]),
+        lambda d: d.update(digits=[1, 0, 0]),
+        lambda d: d.update(digits=["0", "1"]),
+        lambda d: d.update(digits=[False, True]),
+        lambda d: d.update(value=1),
+        lambda d: d.update(residue=None),
+        lambda d: d.update(exponent=12),
+        lambda d: d.update(exponent="1_2"),
+        lambda d: d.update(exponent="9" * 5000),
+        lambda d: d.update(gap="(1/2, 1/1)"),
+        lambda d: d.update(gap={"left": 0, "right": "1/1"}),
     ):
         broken = dict(data)
         mutate(broken)
         assert not verify_certificate(broken)
-    assert not verify_certificate({})
-    assert not verify_certificate({"junk": 1})
+    for junk in ({}, {"junk": 1}, None, [data], "cert"):
+        assert not verify_certificate(junk)
+
+
+def test_verify_propagates_internal_faults(monkeypatch):
+    data = make_certificate(1, K3_01, (2,), (9,)).to_dict()
+
+    def planted(*args):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr("qadic.certificates.shift_digits", planted)
+    with pytest.raises(RuntimeError, match="planted fault"):
+        verify_certificate(data)
+
+
+def test_witness_inputs_checked_on_a_cache_hit():
+    # the witness cache is warm for these values; equal values of another
+    # type must still be rejected, not served from the cache
+    congruence_witness(2, 1, (3,), 1, (3,))
+    for q, t, primes, h in ((2.0, 1, (3,), 1), (2, True, (3,), 1), (2, 1, (3.0,), 1), (2, 1, (3,), True)):
+        with pytest.raises(PreconditionError):
+            congruence_witness(q, t, primes, h, (3,))
 
 
 def test_certificate_dict_round_trip():

@@ -275,13 +275,14 @@ def test_parallel_output_matches_serial():
 
 
 def test_thread_env_validation():
-    result = run_proc(
-        "enumerate", "--alpha", "1/1", "--q", "3", "--A", "0,1",
-        "--ratio", "1/2", "--k-max", "5",
-        env_extra={"QADIC_THREADS": "many"},
-    )
-    assert result.returncode == 2
-    assert "QADIC_THREADS" in result.stderr
+    for value in ("many", "-1", ""):
+        result = run_proc(
+            "enumerate", "--alpha", "1/1", "--q", "3", "--A", "0,1",
+            "--ratio", "1/2", "--k-max", "5",
+            env_extra={"QADIC_THREADS": value},
+        )
+        assert result.returncode == 2
+        assert "QADIC_THREADS" in result.stderr
 
 
 def test_console_script_installed(tmp_path):
@@ -315,6 +316,37 @@ def test_console_script_installed(tmp_path):
     result = subprocess.run(["qadic", "expand", "--x", "0.5", "--q", "3"], capture_output=True, text=True, env=env)
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("precondition violated:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("member", "--x", "1/2", "--q", "3", "--A", ",0,,1,"),
+        ("member", "--x", "1/2", "--q", "3", "--A", ""),
+        ("member", "--x", "1/2", "--q", "3", "--A", "0,+1"),
+        ("member", "--x", "1/2", "--q", "3", "--A", "0,1_0"),
+        ("bound", "--alpha", "1/1", "--q", "3", "--A", "0,1", "--primes", "2,,"),
+        ("certify", "--alpha", "1/1", "--q", "3", "--A", "0,1", "--primes", "2", "--k", "9" * 5000),
+    ],
+)
+def test_malformed_integer_list_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("precondition violated: malformed integer list")
+
+
+def test_integer_list_tokens_may_carry_spaces(capsys):
+    code, out, _ = run_cli(capsys, "member", "--x", "1/2", "--q", "3", "--A", " 0 , 1 ")
+    assert code == 0
+    assert json.loads(out) == {"member": True}
+
+
+def test_verify_oversized_json_integer_is_invalid(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text('{"base": ' + "3" * 5000 + "}")
+    code, out, _ = run_cli(capsys, "verify", "--cert", str(cert_path))
+    assert code == 0
+    assert json.loads(out) == {"valid": False}
 
 
 def test_malformed_rational_rejected(capsys):

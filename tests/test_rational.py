@@ -4,66 +4,25 @@ import random
 import pytest
 from hypothesis import given, strategies
 
+from qadic.cantor import DigitCantorSet
+from qadic.certificates import congruence_witness, exclusion_bound, make_certificate
+from qadic.enumeration import lattice_rows
+from qadic.orders import product_stabilization
 from qadic.rational import (
     PreconditionError,
     Rational,
     euler_phi,
     factorize,
     format_rational,
-    gcd,
     integer_root,
     is_prime,
-    lcm,
-    mod_pow,
+    parse_natural,
     parse_rational,
+    require,
+    require_digits,
     split_coprime_part,
     valuation,
 )
-
-
-def test_gcd_frozen():
-    assert gcd(12, 18) == 6
-    assert gcd(35, 0) == 35
-    assert gcd(1, 9973) == 1
-
-
-def test_lcm_frozen():
-    assert lcm(4, 6) == 12
-    assert lcm(35, 1) == 35
-    assert lcm(3, 7) == 21
-    with pytest.raises(PreconditionError):
-        lcm(0, 5)
-
-
-def test_mod_pow_frozen():
-    assert mod_pow(2, 6, 9) == 1
-    assert mod_pow(5, 0, 7) == 1
-    assert mod_pow(5, 0, 1) == 0
-    assert mod_pow(2, 10, 1000) == 24
-    with pytest.raises(PreconditionError):
-        mod_pow(2, 3, 0)
-
-
-def test_mod_pow_huge_exponent_is_fast():
-    # exponent far beyond anything materializable as repeated multiplication
-    assert mod_pow(3, 10**500 + 4, 11) == pow(3, (10**500 + 4) % 10, 11)
-
-
-@given(strategies.integers(0, 10**6), strategies.integers(0, 10**6))
-def test_gcd_divides_and_lcm_product(a, b):
-    g = gcd(a, b)
-    if a or b:
-        assert a % g == 0 and b % g == 0
-    if a and b:
-        assert lcm(a, b) * g == a * b
-
-
-@given(strategies.integers(2, 10**6), strategies.integers(0, 10**3), strategies.integers(1, 10**6))
-def test_mod_pow_matches_iterated_multiplication(a, e, m):
-    acc = 1 % m
-    for _ in range(e):
-        acc = acc * a % m
-    assert mod_pow(a, e, m) == acc
 
 
 def test_factorize_frozen():
@@ -184,6 +143,44 @@ def test_parse_and_format_round_trip():
     assert parse_rational(" 3 / 9 ") == Rational(1, 3)
     assert format_rational(Rational(1, 8)) == "1/8"
     assert format_rational(Rational(5)) == "5/1"
-    for bad in ("0.5", "1e3", "-1/2", "1/0", "", "a/b"):
+    for bad in ("0.5", "1e3", "-1/2", "1/0", "", "a/b", None, "1/" + "7" * 5000):
         with pytest.raises(PreconditionError):
             parse_rational(bad)
+
+
+K5 = DigitCantorSet(5, (0, 1, 2))
+MODULUS_LIST_ENTRY_POINTS = {
+    "product_stabilization": lambda primes: product_stabilization(primes, 5),
+    "congruence_witness": lambda primes: congruence_witness(5, 1, primes, 1, (40,) * len(primes)),
+    "exclusion_bound": lambda primes: exclusion_bound(1, K5, primes),
+    "make_certificate": lambda primes: make_certificate(1, K5, primes, (40,) * len(primes)),
+    "lattice_rows": lambda primes: lattice_rows(1, primes, K5, 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODULUS_LIST_ENTRY_POINTS))
+@pytest.mark.parametrize("primes", [(), (2, 2), (1,), (2, 3.0)], ids=["empty", "repeated", "one", "float"])
+def test_every_modulus_list_entry_point_rejects_bad_lists(entry, primes):
+    with pytest.raises(PreconditionError, match="modulus"):
+        MODULUS_LIST_ENTRY_POINTS[entry](primes)
+
+
+def test_require_rejects_bools_floats_and_small_values():
+    require("k", 0, 0)
+    for value in (True, 2.0, "3", -1):
+        with pytest.raises(PreconditionError, match="k = "):
+            require("k", value, 0)
+    require_digits((0, 1, 2), 3)
+    for digits in ((0, 3), (-1,), (True,), (1.0,), ("1",)):
+        with pytest.raises(PreconditionError, match="base 3"):
+            require_digits(digits, 3)
+
+
+def test_parse_natural_accepts_only_ascii_digit_runs():
+    assert parse_natural("0") == 0
+    assert parse_natural("0012") == 12
+    for bad in ("", " 1", "+1", "-1", "1_0", "1.0", "\u0661", None, 5):
+        with pytest.raises(PreconditionError, match="malformed"):
+            parse_natural(bad)
+    with pytest.raises(PreconditionError, match="5000 digits"):
+        parse_natural("7" * 5000)
