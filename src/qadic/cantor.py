@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from qadic import kernels
-from qadic.expansion import expand, shift_digits
+from qadic.expansion import alternate_expansion, shift_digits
 from qadic.rational import PreconditionError, parse_rational, require, require_digits, split_coprime_part
 
 __all__ = ["Gap", "DigitCantorSet"]
@@ -53,9 +53,10 @@ class DigitCantorSet:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(sorted(set(self.digits))))
         require("q", self.base, 3)
-        require_digits(self.digits, self.base)
+        digits = tuple(self.digits)
+        require_digits(digits, self.base)
+        object.__setattr__(self, "digits", tuple(sorted(set(digits))))
         if not 1 < len(self.digits) < self.base:
             raise PreconditionError(
                 f"digit set {self.digits} has {len(self.digits)} elements; need 1 < #A < q = {self.base}"
@@ -77,11 +78,15 @@ class DigitCantorSet:
 
     @cached_property
     def largest_gap(self) -> Gap:
-        """The longest connected component of (0, 1) minus the set; leftmost on ties.
+        """The longest connected component of (0, 1) minus the set.
 
         Candidates are the two boundary gaps and the first-level gap between
         each pair of consecutive allowed digits; deeper gaps are 1/q-scaled
-        copies of these and never longer."""
+        copies of these and never longer.  Ties go to the first candidate in
+        the order: left boundary gap (0, min), right boundary gap (max, 1),
+        then the inner gaps from left to right.  So K(5, {0, 1, 3}) gives
+        (3/4, 1), not the equally long (7/20, 3/5).  Certificates are checked
+        against this gap, so the rule is part of their format."""
         q = self.base
         candidates = []
         if self.min_point > 0:
@@ -93,17 +98,13 @@ class DigitCantorSet:
             right = Fraction(b, q) + self.min_point / q
             if left < right:
                 candidates.append(Gap(left, right))
-        best = candidates[0]
-        for g in candidates[1:]:
-            if g.length > best.length:
-                best = g
-        return best
+        return max(candidates, key=lambda g: g.length)
 
     def contains(self, x) -> bool:
         """Exact membership test for x in [0, 1].
 
         Scans the canonical digits with early exit; if they terminate and
-        fail, falls back to the trailing-(q-1) representation."""
+        fail, falls back to the alternate (trailing-(q-1)) expansion."""
         if not 0 <= x <= 1:
             raise PreconditionError(f"x = {x} outside [0, 1]")
         if x == 0:
@@ -115,9 +116,7 @@ class DigitCantorSet:
         if kernels.scan_allowed(num, den, self.base, self.digit_mask, v):
             return True
         if t_hat == 1 and self.base - 1 in self.digits:
-            allowed = set(self.digits)
-            pre = expand(x, self.base).preperiod
-            return all(d in allowed for d in pre[:-1]) and pre[-1] - 1 in allowed
+            return alternate_expansion(x, self.base).digits_used() <= set(self.digits)
         return False
 
     def shift_hits_gap(self, x, n: int) -> bool:
@@ -134,4 +133,4 @@ class DigitCantorSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DigitCantorSet":
-        return cls(int(data["base"]), tuple(int(d) for d in data["digits"]))
+        return cls(data["base"], tuple(data["digits"]))

@@ -11,6 +11,7 @@ the base, the digit set and the exponent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -330,18 +331,20 @@ def certificate_from_dict(data: dict) -> ExclusionCertificate:
     )
 
 
-def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple, bound: ExclusionBound | None = None) -> ExclusionCertificate:
+def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCertificate:
     """Certificate that alpha / prod(p_j**k_j) is outside K, for k_j >= k_alpha.
 
     Uses the witness for the h-shifted exponents and the modular inverse that
     steers the shifted orbit point onto m/p_hat inside the gap; the exponent
-    may be astronomically large, but only its residue behavior matters."""
+    may be astronomically large, but only its residue behavior matters.  An
+    exponent with more decimal digits than Python's int-to-str limit
+    (sys.get_int_max_str_digits(), 0 meaning none) could be neither written
+    nor read back, so it raises PreconditionError before any shift is done."""
     primes = modulus_list(primes)
     k_tuple = tuple(k_tuple)
     if len(k_tuple) != len(primes):
         raise PreconditionError(f"k_tuple has {len(k_tuple)} entries for {len(primes)} moduli")
-    if bound is None:
-        bound = exclusion_bound(alpha, K, primes, scan_empirical=False)
+    bound = exclusion_bound(alpha, K, primes, scan_empirical=False)
     if any(k < bound.k_alpha for k in k_tuple):
         raise PreconditionError(f"k_tuple {list(k_tuple)} below the certified bound k_alpha = {bound.k_alpha}")
     q = K.base
@@ -355,6 +358,12 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple, bound: Exclusion
     if i_m == 0:
         raise RuntimeError("internal: shift index collapsed to zero")
     exponent = r + i_m * n
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before Python 3.10.7: no limit
+    if limit and exponent >= 10**limit:
+        raise PreconditionError(
+            f"certificate exponent has more than {limit} decimal digits, "
+            "the int-to-str limit (sys.get_int_max_str_digits())"
+        )
     value = Fraction(alpha) / math.prod(p**k for p, k in zip(primes, k_tuple))
     residue = shift_digits(value, q, exponent)
     expected = Fraction(s_hat, t_hat * math.prod(p ** (k - r) for p, k in zip(primes, k_tuple))) + Fraction(

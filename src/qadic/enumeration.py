@@ -8,6 +8,7 @@ rationals with a set, digit-onset scans, and two demonstration constructions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,10 +18,8 @@ from qadic import _par
 from qadic.cantor import DigitCantorSet
 from qadic.certificates import ExclusionBound, exclusion_bound
 from qadic.expansion import ExpansionQ, digit_set, expand
-from qadic.orders import coset_decomposition, orbit_of
 from qadic.rational import (
     PreconditionError,
-    factorize,
     format_rational,
     integer_root,
     modulus_list,
@@ -74,17 +73,13 @@ def _check_scale(alpha: Fraction, ratio: Fraction | None):
         raise PreconditionError(f"ratio = {ratio}; need 0 < ratio < 1")
 
 
-def _geo_point(args):
-    alpha, ratio, base, digits, k = args
+def _geo_point(alpha, ratio, K, k):
     value = alpha * ratio**k
-    K = DigitCantorSet(base, digits)
     return k, value, value <= 1 and K.contains(value)
 
 
-def _lattice_point(args):
-    alpha, primes, base, digits, k_tuple = args
+def _lattice_point(alpha, primes, K, k_tuple):
     value = alpha / math.prod(p**k for p, k in zip(primes, k_tuple))
-    K = DigitCantorSet(base, digits)
     return k_tuple, value, value <= 1 and K.contains(value)
 
 
@@ -93,8 +88,7 @@ def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[in
     alpha, ratio = Fraction(alpha), Fraction(ratio)
     _check_scale(alpha, ratio)
     require("k_max", k_max, 0)
-    args = [(alpha, ratio, K.base, K.digits, k) for k in range(k_max + 1)]
-    return _par.pmap(_geo_point, args)
+    return _par.pmap(functools.partial(_geo_point, alpha, ratio, K), list(range(k_max + 1)))
 
 
 def exceptional_geometric(alpha, ratio, K: DigitCantorSet, k_max: int) -> ExceptionalReport:
@@ -127,11 +121,8 @@ def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple
     _check_scale(alpha, None)
     primes = modulus_list(primes)
     require("box", box, 0)
-    args = [
-        (alpha, primes, K.base, K.digits, k_tuple)
-        for k_tuple in itertools.product(range(box + 1), repeat=len(primes))
-    ]
-    return _par.pmap(_lattice_point, args)
+    k_tuples = list(itertools.product(range(box + 1), repeat=len(primes)))
+    return _par.pmap(functools.partial(_lattice_point, alpha, primes, K), k_tuples)
 
 
 def exceptional_lattice(alpha, primes, K: DigitCantorSet, box: int) -> ExceptionalReport:
@@ -158,26 +149,27 @@ def exceptional_lattice(alpha, primes, K: DigitCantorSet, box: int) -> Exception
 def dp_intersection(p: int, K: DigitCantorSet, exp_max: int) -> list[Fraction]:
     """All x with denominator dividing p**exp_max that lie in K.
 
-    Membership is constant on each multiplicative orbit of the base modulo the
-    denominator, so only one numerator per orbit is tested; positive orbits
-    are then expanded in full.  0 (the denominator-1 cell) is a member exactly
-    when 0 is an allowed digit."""
+    Multiplying by the base shifts the digits, so membership is constant on
+    each orbit a -> base*a of the numerators modulo N = p**exp_max.  One pass
+    over Z/N tests one numerator per orbit and keeps the whole orbit of a
+    member; every denominator dividing N is covered, since a/N reduces to it.
+    0 (the denominator-1 cell) is a member exactly when 0 is an allowed digit."""
     require("p", p, 2)
     require_coprime(p, K.base, "p must be coprime to q")
     require("exp_max", exp_max, 0)
-    factors = factorize(p)
-    found = []
-    ranges = [range(exp_max * e + 1) for _, e in factors]
-    for c_tuple in itertools.product(*ranges):
-        t = math.prod(r**c for (r, _), c in zip(factors, c_tuple))
-        if t == 1:
-            if 0 in K.digits:
-                found.append(Fraction(0))
+    q, N = K.base, p**exp_max
+    found = [Fraction(0)] if 0 in K.digits else []
+    seen = bytearray(N)
+    for a in range(1, N):
+        if seen[a]:
             continue
-        cosets = coset_decomposition(t, K.base)
-        for rep in cosets.representatives:
-            if K.contains(Fraction(rep, t)):
-                found.extend(Fraction(a, t) for a in orbit_of(rep, K.base, t))
+        member = K.contains(Fraction(a, N))
+        b = a
+        while not seen[b]:
+            seen[b] = 1
+            if member:
+                found.append(Fraction(b, N))
+            b = b * q % N
     found.sort(key=lambda x: (x.denominator, x.numerator))
     return found
 

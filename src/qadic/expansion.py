@@ -85,7 +85,7 @@ class ExpansionQ:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExpansionQ":
-        return cls(int(data["base"]), tuple(int(d) for d in data["preperiod"]), tuple(int(d) for d in data["period"]))
+        return cls(data["base"], tuple(data["preperiod"]), tuple(data["period"]))
 
 
 def _check_expansion_domain(x, q: int):

@@ -173,7 +173,7 @@ def test_criterion_06_certificates_cover_a_window():
         for K in (K3_01, K3_02):
             bound = exclusion_bound(1, K, (2,), scan_empirical=False)
             for k in range(bound.k_alpha, bound.k_alpha + 21):
-                cert = make_certificate(1, K, (2,), (k,), bound=bound)
+                cert = make_certificate(1, K, (2,), (k,))
                 assert cert.value == Fraction(1, 2**k)
                 assert verify_certificate(cert)
                 assert not K.contains(cert.value)

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from qadic.cantor import DigitCantorSet, Gap
+from qadic.certificates import make_certificate, verify_certificate
 from qadic.rational import PreconditionError
 
 K32_02 = DigitCantorSet(3, (0, 2))
@@ -22,6 +24,11 @@ def test_construction_guards():
         DigitCantorSet(3, (0,))
     with pytest.raises(PreconditionError):
         DigitCantorSet(3, (0, 3))
+    # digits are checked before they are sorted, so mixed types are a
+    # precondition error rather than a TypeError from the sort
+    for base, digits in ((3, ("0", 1)), (3, (0, 1.0)), (3, (True, 0)), ("3", (0, 1)), (3.0, (0, 1))):
+        with pytest.raises(PreconditionError):
+            DigitCantorSet(base, digits)
 
 
 def test_min_max_point_frozen():
@@ -41,11 +48,23 @@ def test_largest_gap_frozen():
     assert K3_01.largest_gap.length == Fraction(1, 2)
 
 
-def test_largest_gap_leftmost_tie_break():
-    # K(4,{1,2}): boundary gaps (0,1/3) and (2/3,1) tie; leftmost wins
+def test_largest_gap_tie_rule_boundary_gaps_first():
+    # K(4,{1,2}): boundary gaps (0,1/3) and (2/3,1) tie; the left one comes first
     K = DigitCantorSet(4, (1, 2))
     gap = K.largest_gap
     assert gap.left == 0 and gap.right == K.min_point
+    # K(5,{0,1,3}): the right boundary gap (3/4, 1) and the inner gap
+    # (7/20, 3/5) both have length 1/4; boundary gaps are tried first
+    K = DigitCantorSet(5, (0, 1, 3))
+    inner = Gap(Fraction(7, 20), Fraction(3, 5))
+    assert K.largest_gap == Gap(Fraction(3, 4), Fraction(1))
+    assert inner.length == K.largest_gap.length
+    # certificates are written and checked against that gap
+    cert = make_certificate(1, K, (2,), (15,))
+    assert cert.residue == Fraction(28673, 32768)
+    assert cert.gap == K.largest_gap
+    assert cert.residue in K.largest_gap and cert.residue not in inner
+    assert verify_certificate(json.loads(json.dumps(cert.to_dict())))
 
 
 def test_contains_frozen():
@@ -171,3 +190,14 @@ def test_gap_dict_round_trip():
     assert Gap.from_dict(gap.to_dict()) == gap
     data = K3_01.to_dict()
     assert DigitCantorSet.from_dict(data) == K3_01
+    # nothing is coerced into K(3, {0, 1})
+    for bad in (
+        {"base": 3.9, "digits": [0, 1.7]},
+        {"base": "3", "digits": ["0", True]},
+        {"base": 3, "digits": [0, 1.7]},
+        {"base": 3, "digits": ["0", 1]},
+        {"base": 3, "digits": [False, True]},
+        {"base": True, "digits": [0, 1]},
+    ):
+        with pytest.raises(PreconditionError):
+            DigitCantorSet.from_dict(bad)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -121,7 +122,7 @@ def test_certificate_reduction_branch():
     # alpha = 1/6 has base factor 3 in the denominator; one shift removes it
     bd = exclusion_bound(Fraction(1, 6), K3_02, (2,))
     assert (bd.reduction_r, bd.k_alpha, bd.empirical_k) == (1, 10, 2)
-    cert = make_certificate(Fraction(1, 6), K3_02, (2,), (10,), bd)
+    cert = make_certificate(Fraction(1, 6), K3_02, (2,), (10,))
     assert cert.exponent == 257
     assert cert.residue == Fraction(1025, 2048)
     assert verify_certificate(cert)
@@ -130,7 +131,7 @@ def test_certificate_reduction_branch():
 def test_certificate_below_bound_rejected():
     bd = exclusion_bound(1, K3_01, (2,))
     with pytest.raises(PreconditionError, match="k_alpha"):
-        make_certificate(1, K3_01, (2,), (bd.k_alpha - 1,), bd)
+        make_certificate(1, K3_01, (2,), (bd.k_alpha - 1,))
 
 
 def test_certificate_soundness_bulk():
@@ -150,7 +151,7 @@ def test_certificate_soundness_bulk():
         bd = exclusion_bound(alpha, K, primes, scan_empirical=False)
         for extra in range(20 // len(primes)):
             k_tuple = tuple(bd.k_alpha + (extra + i * 3) % 17 for i in range(len(primes)))
-            cert = make_certificate(alpha, K, primes, k_tuple, bd)
+            cert = make_certificate(alpha, K, primes, k_tuple)
             assert verify_certificate(cert)
             assert not K.contains(cert.value)
             count += 1
@@ -163,7 +164,7 @@ def test_monotone_coverage_from_returned_fields():
         for k in range(bd.k_alpha, bd.k_alpha + 21):
             value = Fraction(1, 2**k)
             assert not K.contains(value)
-            cert = make_certificate(1, K, (2,), (k,), bd)
+            cert = make_certificate(1, K, (2,), (k,))
             assert verify_certificate(cert)
 
 
@@ -250,6 +251,20 @@ def test_witness_inputs_checked_on_a_cache_hit():
     for q, t, primes, h in ((2.0, 1, (3,), 1), (2, True, (3,), 1), (2, 1, (3.0,), 1), (2, 1, (3,), True)):
         with pytest.raises(PreconditionError):
             congruence_witness(q, t, primes, h, (3,))
+
+
+def test_certificate_exponent_past_int_str_limit_rejected():
+    # at a limit of 640 digits, k = 2100 gives a 632-digit exponent and
+    # k = 2200 a 662-digit one, which could not be written out
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        cert = make_certificate(1, K3_01, (2,), (2100,))
+        assert len(cert.to_dict()["exponent"]) == 632
+        with pytest.raises(PreconditionError, match="more than 640 decimal digits"):
+            make_certificate(1, K3_01, (2,), (2200,))
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_certificate_dict_round_trip():
