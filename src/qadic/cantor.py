@@ -11,7 +11,7 @@ from functools import cached_property
 
 from qadic import kernels
 from qadic.expansion import alternate_expansion, shift_digits
-from qadic.rational import PreconditionError, parse_rational, require, require_digits, split_coprime_part
+from qadic.rational import PreconditionError, parse_rational, require, require_digits, require_field, split_coprime_part
 
 __all__ = ["Gap", "DigitCantorSet"]
 
@@ -133,4 +133,7 @@ class DigitCantorSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DigitCantorSet":
-        return cls(data["base"], tuple(data["digits"]))
+        return cls(
+            require_field(data, "base", int, "digit set"),
+            tuple(require_field(data, "digits", list, "digit set")),
+        )

@@ -29,6 +29,7 @@ from qadic.rational import (
     require,
     require_coprime,
     require_digits,
+    require_field,
 )
 
 __all__ = [
@@ -300,13 +301,6 @@ class ExclusionCertificate:
         }
 
 
-def _field(data: dict, key: str, kind: type):
-    value = data.get(key)
-    if type(value) is not kind:
-        raise PreconditionError(f"certificate field {key!r} = {value!r}; need a JSON {kind.__name__}")
-    return value
-
-
 def certificate_from_dict(data: dict) -> ExclusionCertificate:
     """Rebuild a certificate from its JSON form; the schema is strict.
 
@@ -314,20 +308,18 @@ def certificate_from_dict(data: dict) -> ExclusionCertificate:
     increasing list of ints in [0, base), value and residue "s/t" strings,
     exponent a string of decimal digits, and gap an object whose left and
     right are "s/t" strings.  Anything else raises PreconditionError."""
-    if not isinstance(data, dict):
-        raise PreconditionError(f"certificate must be a JSON object, not {type(data).__name__}")
-    base = _field(data, "base", int)
-    digits = tuple(_field(data, "digits", list))
+    base = require_field(data, "base", int, "certificate")
+    digits = tuple(require_field(data, "digits", list, "certificate"))
     require_digits(digits, base)
     if any(a >= b for a, b in zip(digits, digits[1:])):
         raise PreconditionError(f"certificate digits {list(digits)} are not strictly increasing")
     return ExclusionCertificate(
-        value=Fraction(parse_rational(_field(data, "value", str))),
+        value=Fraction(parse_rational(require_field(data, "value", str, "certificate"))),
         base=base,
         digits=digits,
         exponent=parse_natural(data.get("exponent"), "exponent"),
-        residue=Fraction(parse_rational(_field(data, "residue", str))),
-        gap=Gap.from_dict(_field(data, "gap", dict)),
+        residue=Fraction(parse_rational(require_field(data, "residue", str, "certificate"))),
+        gap=Gap.from_dict(require_field(data, "gap", dict, "certificate")),
     )
 
 

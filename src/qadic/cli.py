@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -32,7 +33,12 @@ def _int_list_arg(text: str) -> tuple[int, ...]:
         raise PreconditionError(f"malformed integer list {text!r}: {exc}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one.
+
+    A process that runs main many times pays for the 14 subparsers once.
+    parse_args keeps no state between calls: each returns a fresh Namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument("--format", choices=["json", "csv"], default="json")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qadic import kernels
-from qadic.rational import PreconditionError, require, require_digits, split_coprime_part
+from qadic.rational import PreconditionError, require, require_digits, require_field, split_coprime_part
 
 __all__ = [
     "ExpansionQ",
@@ -85,7 +85,11 @@ class ExpansionQ:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExpansionQ":
-        return cls(data["base"], tuple(data["preperiod"]), tuple(data["period"]))
+        return cls(
+            require_field(data, "base", int, "expansion"),
+            tuple(require_field(data, "preperiod", list, "expansion")),
+            tuple(require_field(data, "period", list, "expansion")),
+        )
 
 
 def _check_expansion_domain(x, q: int):
@@ -115,7 +119,8 @@ def digit_set(x, q: int) -> set[int]:
     """The set of digits occurring in the canonical expansion of x.
 
     Stops as soon as all q digits have been seen, so this stays cheap even
-    when the period itself is astronomically long."""
+    when the period itself is astronomically long, and skips the leading
+    zeros of a tiny x such as p**-n in a few bigint steps."""
     _check_expansion_domain(x, q)
     _, _, v = split_coprime_part(x.denominator, q)
     mask = kernels.digit_mask(x.numerator, x.denominator, q, v)

@@ -1,7 +1,10 @@
 """The digit loops, in pure Python; arbitrary precision, no size limits.
 
 digit_cycle, scan_allowed and digit_mask all walk the long division of
-num/den (0 <= num < den) in the given base.
+num/den (0 <= num < den) in the given base.  scan_allowed and digit_mask
+first skip the leading zero digits in a few bigint steps (skip_zeros), so a
+tiny value such as p**-n costs nothing per leading zero.  Integers only: no
+float enters any bound.
 """
 
 from __future__ import annotations
@@ -25,14 +28,49 @@ def digit_cycle(num, den, base):
     return digits[:start], digits[start:]
 
 
+# With L = (base**_LOG_POWER).bit_length(), base**_LOG_POWER < 2**L, so
+# L / _LOG_POWER exceeds log2(base), by less than 1 / _LOG_POWER.
+_LOG_POWER = 64
+
+
+def skip_zeros(num, den, base):
+    """(z, num * base**z) for the largest z with num * base**z < den.
+
+    z is the number of leading zero digits of num/den (0 < num < den), and
+    num * base**z is the remainder after them: below den, it was never
+    reduced.  Each round multiplies by the largest power of base that the bit
+    lengths prove keeps the product below den, so the gap shrinks to a few
+    bits in a few rounds; exact comparisons take the last steps.
+    """
+    log_bits = (base**_LOG_POWER).bit_length()
+    z, r = 0, num
+    # r < 2**r.bit_length() and 2**(den.bit_length() - 1) <= den, so the
+    # product stays below den when base**step < 2**gap, with gap the bit
+    # length difference less 1; step <= gap * _LOG_POWER / L ensures that.
+    while (step := (den.bit_length() - r.bit_length() - 1) * _LOG_POWER // log_bits) > 0:
+        r *= base**step
+        z += step
+    while r * base < den:
+        r *= base
+        z += 1
+    return z, r
+
+
 def scan_allowed(num, den, base, mask, preperiod_len):
     """True iff every digit of the expansion has its bit set in mask.
 
     Walks the preperiod then exactly one period, stopping at the first digit
     outside the mask.  num/den must be in lowest terms and preperiod_len must
     be at least the true preperiod length, or the walk will not terminate.
+    When 0 is allowed, the leading zeros are skipped in one skip_zeros call:
+    if there are z <= preperiod_len of them the walk goes on with the
+    remaining preperiod_len - z digits, and otherwise the remainder after
+    them already lies on the period cycle, so one period from it is walked.
     """
     r = num
+    if num and mask & 1:
+        z, r = skip_zeros(num, den, base)
+        preperiod_len = max(preperiod_len - z, 0)
     for _ in range(preperiod_len):
         r *= base
         d, r = divmod(r, den)
@@ -52,10 +90,16 @@ def digit_mask(num, den, base, preperiod_len):
     """Bitmask of the digits occurring in the expansion.
 
     Stops early once all `base` digits have been seen; otherwise walks the
-    preperiod plus one full period."""
+    preperiod plus one full period.  The leading zeros are skipped in one
+    skip_zeros call, which sets bit 0 if there is at least one, and the walk
+    goes on from the remainder after them as in scan_allowed."""
     full = (1 << base) - 1
     mask = 0
     r = num
+    if num:
+        z, r = skip_zeros(num, den, base)
+        mask = 1 if z else 0
+        preperiod_len = max(preperiod_len - z, 0)
     for _ in range(preperiod_len):
         r *= base
         d, r = divmod(r, den)

@@ -1,6 +1,7 @@
 """Exact nonnegative rationals, the elementary number theory used everywhere
 else, and the precondition checks every module shares (`require`,
-`require_coprime`, `require_digits`, `modulus_list`, `parse_natural`).
+`require_coprime`, `require_digits`, `require_field`, `modulus_list`,
+`parse_natural`).
 
 Integers are plain Python ints (arbitrary precision, always exact); rationals
 are `fractions.Fraction` values, kept in lowest terms by construction.
@@ -11,6 +12,7 @@ hard factors exceed roughly 120 bits are outside the supported range.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -24,6 +26,7 @@ __all__ = [
     "require",
     "require_coprime",
     "require_digits",
+    "require_field",
     "modulus_list",
     "is_prime",
     "factorize",
@@ -110,6 +113,18 @@ def require_digits(digits, base: int):
             raise PreconditionError(f"digit {d!r} out of range for base {base}")
 
 
+def require_field(data, key: str, kind: type, what: str):
+    """data[key] from a decoded JSON object, which must have exactly this type.
+
+    A missing key, a bool for an int or a float for an int all raise."""
+    if not isinstance(data, dict):
+        raise PreconditionError(f"{what} must be a JSON object, not {type(data).__name__}")
+    value = data.get(key)
+    if type(value) is not kind:
+        raise PreconditionError(f"{what} field {key!r} = {value!r}; need a JSON {kind.__name__}")
+    return value
+
+
 def modulus_list(values) -> tuple[int, ...]:
     """The moduli p_1..p_l as a tuple; they must be nonempty, distinct integers >= 2."""
     values = tuple(values)
@@ -123,22 +138,30 @@ def modulus_list(values) -> tuple[int, ...]:
 
 
 _TRIAL_LIMIT = 1_000_000
-_small_prime_cache: list[int] | None = None
+_small_prime_cache = None
 
 # Below this bound the fixed Miller-Rabin base set is a deterministic test.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-def _small_primes() -> list[int]:
+def _small_primes():
+    """The primes below _TRIAL_LIMIT, sieved on first use.
+
+    Held as an array of C unsigned ints: 0.3 MB, against 3.0 MB as a list of
+    Python ints, for the rest of the life of any process that factors."""
     global _small_prime_cache
     if _small_prime_cache is None:
+        # imported here: loading the array extension would add about 0.5 ms
+        # to every `import qadic`, and many CLI calls never factor
+        from array import array
+
         sieve = bytearray([1]) * _TRIAL_LIMIT
         sieve[0] = sieve[1] = 0
         for p in range(2, math.isqrt(_TRIAL_LIMIT) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _small_prime_cache = [i for i in range(_TRIAL_LIMIT) if sieve[i]]
+        _small_prime_cache = array("I", itertools.compress(range(_TRIAL_LIMIT), sieve))
     return _small_prime_cache
 
 

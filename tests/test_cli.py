@@ -255,6 +255,39 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text()) == {"order": 6}
 
 
+_ENUM = ("enumerate", "--alpha", "3/7", "--q", "5", "--A", "0,1,3", "--ratio", "1/11", "--k-max", "6")
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        [("order", "--a", "2"), ("order", "--a", "2", "--m", "9")],
+        [(*_ENUM, "--format", "csv"), _ENUM],
+        [("expand", "--x", "1/8", "--q", "3", "--emit-config"), ("expand", "--x", "1/8", "--q", "3")],
+        [("order", "--a", "2", "--m", "9", "--out", "{out}"), ("order", "--a", "2", "--m", "9")],
+    ],
+    ids=["usage-error", "csv-then-json", "emit-config", "out-then-stdout"],
+)
+def test_repeated_calls_match_fresh_processes(calls, tmp_path, capsys):
+    # main reuses one parser per process; no call may see state left by another
+    target = tmp_path / "out.json"
+    calls = [[str(target) if a == "{out}" else a for a in argv] for argv in calls]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        in_process.append((code, capsys.readouterr().out, written))
+    for argv, expected in zip(calls, in_process):
+        result = run_proc(*argv)
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        assert (result.returncode, result.stdout, written) == expected, argv
+
+
 def test_certify_unprintable_exponent_fails_fast(capsys):
     # the exponent has about 4800 digits, past the default limit of 4300;
     # the error comes before the shift, which would take seconds

@@ -156,13 +156,14 @@ def test_shift_digits_huge_exponent():
 def test_expansion_dict_round_trip():
     e = expand(Fraction(5, 12), 10)
     assert ExpansionQ.from_dict(e.to_dict()) == e
-    # nothing is coerced: [1.9] is not the period (1,)
+    # nothing is coerced: [1.9] is not the period (1,); a missing field is no KeyError
     for bad in (
         {"base": 3, "preperiod": [], "period": [1.9]},
         {"base": 3.9, "preperiod": [], "period": [1]},
         {"base": "3", "preperiod": [], "period": [1]},
         {"base": 3, "preperiod": ["0"], "period": [1]},
         {"base": 3, "preperiod": [], "period": [True]},
+        {"base": 3},
     ):
         with pytest.raises(PreconditionError):
             ExpansionQ.from_dict(bad)

@@ -53,20 +53,57 @@ def test_backend_reports_mode():
     assert kernels.backend() == "pure"
 
 
+def _check_scan_and_mask(num, den, base, pre, per):
+    """scan_allowed and digit_mask agree with the digits (pre, per) of num/den."""
+    used = set(pre) | set(per)
+    used_mask = sum(1 << d for d in used)
+    for pad in (0, 3):
+        v = len(pre) + pad
+        assert kernels.digit_mask(num, den, base, v) == used_mask
+        assert kernels.scan_allowed(num, den, base, used_mask, v)
+        assert kernels.scan_allowed(num, den, base, (1 << base) - 1, v)
+        for d in used:
+            assert not kernels.scan_allowed(num, den, base, used_mask & ~(1 << d), v)
+
+
 def test_loops_match_long_division_beyond_64_bits():
     for num, den, base in WIDE:
         assert den.bit_length() >= 70 and math.gcd(num, den) == 1
         pre, per = _long_division(num, den, base)
         assert kernels.digit_cycle(num, den, base) == (pre, per)
-        used = set(pre) | set(per)
-        used_mask = sum(1 << d for d in used)
-        assert kernels.digit_mask(num, den, base, len(pre)) == used_mask
-        for pad in (0, 3):
-            v = len(pre) + pad
-            assert kernels.scan_allowed(num, den, base, used_mask, v)
-            assert kernels.scan_allowed(num, den, base, (1 << base) - 1, v)
-            for d in used:
-                assert not kernels.scan_allowed(num, den, base, used_mask & ~(1 << d), v)
+        _check_scan_and_mask(num, den, base, pre, per)
+
+
+def _tiny_values(base):
+    """(x, relation of the leading-zero count z to the preperiod length v)
+    for values alpha / t**k with 149 to 1109 leading zeros."""
+    # t divides base, so t**-k terminates after more digits than its zeros
+    t = 2 if base == 4 else 5 if base == 10 else base
+    for k in (300, 1100):
+        n = k + 7
+        yield Fraction(1, t**k), "z < v"
+        yield Fraction(base - 1, (base + 1) * base**k), "z = v"  # (q-1)/(q+1) >= 1/q
+        yield Fraction(1, base**3 * (base**n - 1)), "z > v"
+        yield Fraction(base + 2, base**n - 1), "z > v = 0"
+
+
+def test_tiny_values_skip_zeros_exactly():
+    seen = set()
+    for base in (3, 4, 5, 7, 10):
+        for x, case in _tiny_values(base):
+            num, den = x.numerator, x.denominator
+            pre, per = _long_division(num, den, base)
+            z, r = kernels.skip_zeros(num, den, base)
+            digits = pre + per * (z // len(per) + 2)
+            assert z >= 100 and digits[:z] == [0] * z and digits[z] != 0
+            assert r == num * base**z
+            relation = "z < v" if z < len(pre) else "z = v" if z == len(pre) else "z > v"
+            assert case.startswith(relation) and (case != "z > v = 0" or pre == []), (x, base, case)
+            seen.add(case)
+            _check_scan_and_mask(num, den, base, pre, per)
+            # 0 disallowed: the first digit already fails
+            assert not kernels.scan_allowed(num, den, base, (1 << base) - 2, len(pre))
+    assert seen == {"z < v", "z = v", "z > v", "z > v = 0"}
 
 
 def test_cycle_matches_expansion_type():
