@@ -20,6 +20,56 @@ __all__ = [
 ]
 
 
+# value() folds runs of at most this many digits by Horner's rule.
+_HORNER_DIGITS = 48
+
+
+def _digits_int(digits, lo, hi, q):
+    """The integer whose base-q digits, most significant first, are digits[lo:hi].
+
+    Splits the run in halves, value(left) * q**len(right) + value(right), so
+    the large multiplications have balanced operands and the whole costs
+    within a log factor of one multiplication of the result's size; Horner's
+    rule, quadratic in the length, serves only the short runs at the leaves.
+    """
+    if hi - lo <= _HORNER_DIGITS:
+        acc = 0
+        for d in digits[lo:hi]:
+            acc = acc * q + d
+        return acc
+    mid = (lo + hi) // 2
+    return _digits_int(digits, lo, mid, q) * q ** (hi - mid) + _digits_int(digits, mid, hi, q)
+
+
+def _repeated_block(period):
+    """The length of a shorter block that the period repeats, or 0 if it is minimal.
+
+    A period of length n repeats a shorter block exactly when it repeats one
+    of length n/r for some prime r dividing n, that is, when it equals its
+    rotation by n/r; so only those rotations are tested, each by comparing
+    two tuple slices.  The primes come from trial division of n, inline: it is
+    far cheaper than the slices, and factorize would build its table of
+    small primes in every process that constructs an expansion.
+    """
+    n = m = len(period)
+    primes = []
+    r = 2
+    while r * r <= m:
+        if m % r == 0:
+            primes.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    if m > 1:
+        primes.append(m)
+    for r in primes:
+        # for k dividing n, equal to the rotation by k iff equal to the shift by k
+        k = n // r
+        if period[k:] == period[:-k]:
+            return k
+    return 0
+
+
 @dataclass(frozen=True)
 class ExpansionQ:
     """A digit expansion: finite preperiod, then the period repeated forever.
@@ -38,10 +88,9 @@ class ExpansionQ:
         if not self.period:
             raise PreconditionError("empty period; terminating expansions use period (0,)")
         require_digits(self.preperiod + self.period, self.base)
-        n = len(self.period)
-        for k in range(1, n):
-            if n % k == 0 and self.period == self.period[:k] * (n // k):
-                raise PreconditionError(f"period {self.period} repeats a block of length {k}")
+        k = _repeated_block(self.period)
+        if k:
+            raise PreconditionError(f"period {self.period} repeats a block of length {k}")
         if self.preperiod and self.preperiod[-1] == self.period[-1]:
             raise PreconditionError("last preperiod digit equals last period digit; preperiod not minimal")
 
@@ -49,12 +98,8 @@ class ExpansionQ:
         """The rational this expansion denotes."""
         q = self.base
         v, n = len(self.preperiod), len(self.period)
-        head = 0
-        for d in self.preperiod:
-            head = head * q + d
-        rep = 0
-        for d in self.period:
-            rep = rep * q + d
+        head = _digits_int(self.preperiod, 0, v, q)
+        rep = _digits_int(self.period, 0, n, q)
         return Fraction(head * (q**n - 1) + rep, q**v * (q**n - 1))
 
     def digit(self, i: int) -> int:
@@ -99,14 +144,16 @@ def _check_expansion_domain(x, q: int):
 
 
 def expand(x, q: int) -> ExpansionQ:
-    """Canonical greedy expansion of x in [0, 1), by long division with cycle detection.
+    """Canonical greedy expansion of x in [0, 1), by long division.
 
-    The preperiod length always equals the q-part exponent of the denominator
-    and the period length the multiplicative order of q modulo its coprime
-    part; both come out of the remainder cycle here, not from that law.
+    The preperiod length is the q-part exponent v of the denominator, taken
+    from split_coprime_part; the period is walked from the remainder after
+    those v digits until that remainder recurs, so its length is the
+    multiplicative order of q modulo the coprime part.
     """
     _check_expansion_domain(x, q)
-    pre, per = kernels.digit_cycle(x.numerator, x.denominator, q)
+    _, _, v = split_coprime_part(x.denominator, q)
+    pre, per = kernels.digit_cycle(x.numerator, x.denominator, q, v)
     return ExpansionQ(q, tuple(pre), tuple(per))
 
 

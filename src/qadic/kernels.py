@@ -1,10 +1,12 @@
 """The digit loops, in pure Python; arbitrary precision, no size limits.
 
 digit_cycle, scan_allowed and digit_mask all walk the long division of
-num/den (0 <= num < den) in the given base.  scan_allowed and digit_mask
-first skip the leading zero digits in a few bigint steps (skip_zeros), so a
-tiny value such as p**-n costs nothing per leading zero.  Integers only: no
-float enters any bound.
+num/den (0 <= num < den) in the given base: the preperiod, whose length the
+caller passes (the v of split_coprime_part), then one period, until the
+remainder returns to the one after the preperiod; none keeps a table of
+remainders.  scan_allowed and digit_mask first skip the leading zero digits
+in a few bigint steps (skip_zeros), so a tiny value such as p**-n costs
+nothing per leading zero.  Integers only: no float enters any bound.
 """
 
 from __future__ import annotations
@@ -14,18 +16,30 @@ def backend() -> str:
     return "pure"
 
 
-def digit_cycle(num, den, base):
-    """(preperiod, period) digit lists, both minimal; terminating values get period [0]."""
-    seen = {}
-    digits = []
+def digit_cycle(num, den, base, preperiod_len):
+    """(preperiod, period) digit lists, both minimal; terminating values get period [0].
+
+    num/den must be in lowest terms and preperiod_len must be exactly its
+    preperiod length, the v of split_coprime_part(den, base).  The walk takes
+    those digits, then walks the period until the remainder returns to the
+    one after them.  If preperiod_len is too small that remainder is not on
+    the cycle and the walk never meets it again; if it is too large the
+    period comes out rotated.
+    """
+    pre = []
     r = num
-    while r not in seen:
-        seen[r] = len(digits)
+    for _ in range(preperiod_len):
         r *= base
         d, r = divmod(r, den)
-        digits.append(d)
-    start = seen[r]
-    return digits[:start], digits[start:]
+        pre.append(d)
+    sentinel = r
+    period = []
+    while True:
+        r *= base
+        d, r = divmod(r, den)
+        period.append(d)
+        if r == sentinel:
+            return pre, period
 
 
 # With L = (base**_LOG_POWER).bit_length(), base**_LOG_POWER < 2**L, so

@@ -321,19 +321,19 @@ def euler_phi(n: int) -> int:
 def split_coprime_part(t: int, q: int) -> tuple[int, int, int]:
     """Split t = t_hat * u with gcd(t_hat, q) = 1 and u | q**v, v minimal.
 
-    Returns (t_hat, u, v)."""
+    Returns (t_hat, u, v).  Each division by gcd(t_hat, q) lowers v_p(t_hat)
+    by v_p(q), down to 0, for every prime p of q, so the loop runs the largest
+    ceil(v_p(t) / v_p(q)) times, which is exactly the minimal v."""
     require("t", t, 1)
     require("q", q, 2)
     t_hat = t
+    v = 0
     g = math.gcd(t_hat, q)
     while g > 1:
         t_hat //= g
-        g = math.gcd(t_hat, q)
-    u = t // t_hat
-    v = 0
-    while u > 1 and pow(q, v, u) != 0:
         v += 1
-    return t_hat, u, v
+        g = math.gcd(t_hat, q)
+    return t_hat, t // t_hat, v
 
 
 def valuation(n: int, p: int) -> int:

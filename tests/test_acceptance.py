@@ -90,6 +90,7 @@ def test_criterion_02_expansion_structural_law():
         start = time.perf_counter()
         rng = random.Random(77001)
         checked = 0
+        sample = []
         while checked < 1000:
             den = rng.randrange(2, 10**5 + 1)
             num = rng.randrange(0, den)
@@ -99,8 +100,28 @@ def test_criterion_02_expansion_structural_law():
             t_hat, _, v = split_coprime_part(x.denominator, q)
             assert len(e.preperiod) == v
             assert len(e.period) == (mult_order(q, t_hat) if t_hat > 1 else 1)
+            if checked % 50 == 0:
+                sample.append((x, q, e))
             checked += 1
         assert time.perf_counter() - start < 10
+        # expand takes v from split_coprime_part, so the preperiod length above
+        # holds by construction; a route that knows no v checks the sample
+        for x, q, e in sample:
+            assert (e.preperiod, e.period) == _fraction_long_division(x, q)
+
+
+def _fraction_long_division(x, q):
+    """(preperiod, period) of x, stepping a Fraction until it recurs."""
+    seen = {}
+    digits = []
+    while x not in seen:
+        seen[x] = len(digits)
+        x *= q
+        d = math.floor(x)
+        digits.append(d)
+        x -= d
+    start = seen[x]
+    return tuple(digits[:start]), tuple(digits[start:])
 
 
 def _brute_order(a, m):

@@ -1,8 +1,11 @@
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from qadic import expansion
 from qadic.expansion import (
     ExpansionQ,
     alternate_expansion,
@@ -95,16 +98,123 @@ def _random_sample(count, den_max, seed):
     return out
 
 
+def _long_division(x, q):
+    """(preperiod, period) of x, stepping a Fraction until it recurs."""
+    seen = {}
+    digits = []
+    while x not in seen:
+        seen[x] = len(digits)
+        x *= q
+        d = math.floor(x)
+        digits.append(d)
+        x -= d
+    start = seen[x]
+    return tuple(digits[:start]), tuple(digits[start:])
+
+
 def test_reconstruction_and_structural_law():
-    # two independent routes to the same shape: cycle detection vs the
-    # split/order law, plus exact re-evaluation of the digit series
-    for x, q in _random_sample(1000, 10**5, 915):
+    # every value: exact re-evaluation of the digit series and the period
+    # length against the order law; expand takes its preperiod length from
+    # split_coprime_part, so every 50th value's digits are also checked by
+    # Fraction long division, a route that knows no v
+    for i, (x, q) in enumerate(_random_sample(1000, 10**5, 915)):
         e = expand(x, q)
         assert e.value() == x
         t_hat, _, v = split_coprime_part(x.denominator, q)
         assert len(e.preperiod) == v
         assert len(e.period) == (mult_order(q, t_hat) if t_hat > 1 else 1)
         assert e.period != (q - 1,)
+        if i % 50 == 0:
+            assert (e.preperiod, e.period) == _long_division(x, q)
+
+
+def _horner_value(e):
+    """Reference for value(): the rational of e by two Horner folds."""
+    q = e.base
+    v, n = len(e.preperiod), len(e.period)
+    head = 0
+    for d in e.preperiod:
+        head = head * q + d
+    rep = 0
+    for d in e.period:
+        rep = rep * q + d
+    return Fraction(head * (q**n - 1) + rep, q**v * (q**n - 1))
+
+
+def _divisor_loop_block(period):
+    """Reference for the minimality check: the smallest block length the
+    period repeats, or 0, by trying every divisor of its length."""
+    n = len(period)
+    for k in range(1, n):
+        if n % k == 0 and period == period[:k] * (n // k):
+            return k
+    return 0
+
+
+def _random_expansion(rng, q, v, n):
+    """A valid ExpansionQ with random digits, preperiod length v, period length n."""
+    period = tuple(rng.randrange(q) for _ in range(n))
+    while _divisor_loop_block(period):
+        period = tuple(rng.randrange(q) for _ in range(n))
+    pre = [rng.randrange(q) for _ in range(v)]
+    if pre and pre[-1] == period[-1]:
+        pre[-1] = (pre[-1] + 1) % q
+    return ExpansionQ(q, tuple(pre), period)
+
+
+def test_value_matches_horner():
+    rng = random.Random(920)
+    h = expansion._HORNER_DIGITS
+    lengths = (0, 1, 2, h - 1, h, h + 1, 2 * h, 2 * h + 1, 4 * h + 3, 10_000)
+    for q in (2, 3, 10, 257):
+        for length in lengths:
+            for v, n in ((length, 1), (0, max(length, 1)), (length, max(length, 1))):
+                e = _random_expansion(rng, q, v, n)
+                assert e.value() == _horner_value(e), (q, v, n)
+        # every digit at its largest: carries cross each split
+        for length in lengths[1:]:
+            e = ExpansionQ(q, (q - 1,) * length, (q - 1,) * (length - 1) + (0,))
+            assert e.value() == _horner_value(e)
+
+
+def _block_error(period):
+    """The block length named by ExpansionQ's minimality error, or 0 if none is raised."""
+    try:
+        ExpansionQ(3, (), period)
+    except PreconditionError as exc:
+        return int(re.search(r"repeats a block of length (\d+)", str(exc)).group(1))
+    return 0
+
+
+def _check_minimality(period):
+    named = _block_error(period)
+    assert bool(named) == bool(_divisor_loop_block(period)), period
+    if named:
+        n = len(period)
+        assert 0 < named < n and n % named == 0
+        assert period == period[:named] * (n // named)
+
+
+def test_minimality_matches_divisor_loop():
+    rng = random.Random(921)
+    # every block-repeat shape with n <= 120: each divisor k of n, with a
+    # random block and with that block's last repeat spoiled in one digit
+    for n in range(1, 121):
+        for k in range(1, n + 1):
+            if n % k:
+                continue
+            for q in (2, 3):
+                period = tuple(rng.randrange(q) for _ in range(k)) * (n // k)
+                _check_minimality(period)
+                _check_minimality(period[:-1] + ((period[-1] + 1) % q,))
+    # prime-power n, where a single rotation decides
+    for p, top in ((2, 12), (3, 7), (5, 5), (7, 4), (4099, 1)):
+        n = p**top
+        for j in range(top + 1):
+            block = tuple(rng.randrange(2) for _ in range(p**j))
+            period = block * (n // p**j)
+            _check_minimality(period)
+            _check_minimality((1 - period[0],) + period[1:])
 
 
 def test_digit_at_matches_unrolled():

@@ -70,7 +70,7 @@ def test_loops_match_long_division_beyond_64_bits():
     for num, den, base in WIDE:
         assert den.bit_length() >= 70 and math.gcd(num, den) == 1
         pre, per = _long_division(num, den, base)
-        assert kernels.digit_cycle(num, den, base) == (pre, per)
+        assert kernels.digit_cycle(num, den, base, split_coprime_part(den, base)[2]) == (pre, per)
         _check_scan_and_mask(num, den, base, pre, per)
 
 
@@ -100,15 +100,42 @@ def test_tiny_values_skip_zeros_exactly():
             relation = "z < v" if z < len(pre) else "z = v" if z == len(pre) else "z > v"
             assert case.startswith(relation) and (case != "z > v = 0" or pre == []), (x, base, case)
             seen.add(case)
+            assert kernels.digit_cycle(num, den, base, split_coprime_part(den, base)[2]) == (pre, per)
             _check_scan_and_mask(num, den, base, pre, per)
             # 0 disallowed: the first digit already fails
             assert not kernels.scan_allowed(num, den, base, (1 << base) - 2, len(pre))
     assert seen == {"z < v", "z = v", "z > v", "z > v = 0"}
 
 
+def test_cycle_terminating_and_purely_periodic():
+    # terminating: den divides a power of base, period [0]; purely periodic:
+    # den coprime to base, v = 0
+    rng = random.Random(2107)
+    assert kernels.digit_cycle(0, 1, 10, 0) == ([], [0])
+    for base in (2, 3, 6, 10, 12):
+        for _ in range(20):
+            terminating = 1
+            while terminating == 1:
+                terminating = math.gcd(rng.randrange(2, 10**12), base**12)
+            periodic = base
+            while math.gcd(periodic, base) > 1:
+                periodic = rng.randrange(2, 5_000)
+            for den in (terminating, periodic):
+                num = rng.randrange(1, den)
+                while math.gcd(num, den) > 1:
+                    num = rng.randrange(1, den)
+                pre, per = _long_division(num, den, base)
+                v = split_coprime_part(den, base)[2]
+                assert kernels.digit_cycle(num, den, base, v) == (pre, per)
+                if den == terminating:
+                    assert per == [0] and len(pre) == v > 0
+                else:
+                    assert pre == [] and v == 0
+
+
 def test_cycle_matches_expansion_type():
     for num, den, base in _samples(80, 3_000, 2105):
-        pre, per = kernels.digit_cycle(num, den, base)
+        pre, per = kernels.digit_cycle(num, den, base, split_coprime_part(den, base)[2])
         e = expand(Fraction(num, den), base)
         assert tuple(pre) == e.preperiod
         assert tuple(per) == e.period

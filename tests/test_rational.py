@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies
+from hypothesis import example, given, strategies
 
 from qadic.cantor import DigitCantorSet
 from qadic.certificates import congruence_witness, exclusion_bound, make_certificate
@@ -102,9 +102,18 @@ def test_split_coprime_part_frozen():
     assert split_coprime_part(12, 10) == (3, 4, 2)
     assert split_coprime_part(7, 10) == (7, 1, 0)
     assert split_coprime_part(8, 2) == (1, 8, 3)
+    assert split_coprime_part(2**7 * 5, 8) == (5, 2**7, 3)
+    # long q-parts: v in the thousands
+    for k in (1, 100, 500, 2000):
+        assert split_coprime_part(6**k * 7, 10) == (3**k * 7, 2**k, k)
+        assert split_coprime_part(6**k * 7, 12) == (7, 6**k, k)
 
 
 @given(strategies.integers(1, 10**6), strategies.integers(2, 50))
+@example(6**100 * 7, 10)
+@example(6**500 * 7, 10)
+@example(6**2000 * 7, 10)
+@example(6**2000 * 7, 12)
 def test_split_coprime_part_round_trip(t, q):
     t_hat, u, v = split_coprime_part(t, q)
     assert t_hat * u == t
