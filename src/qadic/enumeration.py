@@ -19,12 +19,14 @@ from qadic.cantor import DigitCantorSet
 from qadic.certificates import ExclusionBound, exclusion_bound
 from qadic.expansion import ExpansionQ, digit_set, expand
 from qadic.rational import (
+    MAX_RESIDUES,
     PreconditionError,
     format_rational,
     integer_root,
     modulus_list,
     require,
     require_coprime,
+    require_residues,
     split_coprime_part,
 )
 
@@ -146,30 +148,101 @@ def exceptional_lattice(alpha, primes, K: DigitCantorSet, box: int) -> Exception
     return ExceptionalReport(parameters, members, box, tail, guaranteed)
 
 
-def dp_intersection(p: int, K: DigitCantorSet, exp_max: int) -> list[Fraction]:
-    """All x with denominator dividing p**exp_max that lie in K.
+# Fewest numerators a level-k cylinder holds in dp_intersection (when N
+# allows): with fewer, a pass spends its time on slice overhead, not bytes.
+_CYLINDER_MIN = 150
 
-    Multiplying by the base shifts the digits, so membership is constant on
-    each orbit a -> base*a of the numerators modulo N = p**exp_max.  One pass
-    over Z/N tests one numerator per orbit and keeps the whole orbit of a
-    member; every denominator dividing N is covered, since a/N reduces to it.
-    0 (the denominator-1 cell) is a member exactly when 0 is an allowed digit."""
+
+def _cylinder_pass(flags: bytearray, words: list[int], N: int, Q: int) -> int:
+    """Descend log_q Q more digit levels in place; returns how many flags remain.
+
+    Cylinder W takes the flags of the images Q*a - W*N of its numerators, a
+    stride-Q slice.  Images rewritten earlier in the pass already hold their
+    new flags, which can only be fewer, so reading in place is sound: a
+    member's image is a member and keeps its flag, and a cleared flag is
+    never set again."""
+    flagged = 0
+    for W in words:
+        part = flags[-W * N % Q :: Q]
+        start = -(-W * N // Q)
+        flags[start : start + len(part)] = part
+        flagged += part.count(1)
+    return flagged
+
+
+def dp_intersection(p: int, K: DigitCantorSet, exp_max: int) -> list[Fraction]:
+    """All x with denominator dividing N = p**exp_max that lie in K, sorted by
+    (denominator, numerator).  Every denominator dividing N is covered, since
+    a/N reduces to it.
+
+    Since gcd(p, q) = 1, a/N (0 <= a < N) has one base-q expansion, and its
+    digits are the leading digits q*b // N along the orbit b = a, q*a,
+    q**2*a, ... mod N.  So with Q = q**k the members are the largest set closed
+    under a -> Q*a mod N inside the level-k cylinders [W/Q, (W+1)/Q) whose k
+    digits all lie in A.  A descent over those cylinders finds that set in one
+    bytearray(N) of flags, one per numerator:
+
+    - Depth: k is the largest k >= 1 with q**(k+1) * _CYLINDER_MIN <= N, so
+      each cylinder holds at least _CYLINDER_MIN numerators when N allows.
+    - Start: flag the numerators of the (#A)**k cylinders with digits in A.
+    - Pass: a numerator a of cylinder W moves to Q*a - W*N, so the cylinder's
+      new flags are a stride-Q slice of the current ones, copied in place.
+      After j passes every flagged a/N has its first (j+1)*k digits in A.
+    - Passes stop at the first that clears at most (#A)**k + N // 64 flags:
+      from there on a pass costs more than deciding the survivors one by one.
+    - Finish: from each flagged a, follow a -> Q*a mod N.  A chain that comes
+      back to a is a cycle of members; one that reaches an unflagged numerator
+      holds none.
+
+    Cost: a pass makes 2*(#A)**k slice copies, about (N/_CYLINDER_MIN)**d for
+    the dimension d = log #A / log q, and moves at most N*(#A/q)**k bytes; the
+    finish takes one step per surviving flag.  No `contains` call is made.
+    Memory: the N flags and one cylinder's slice.  N is capped at
+    MAX_RESIDUES.
+
+    Cross-check: membership is constant on the orbits of a -> q*a mod N, so
+    every member's successor must be a member, else RuntimeError."""
     require("p", p, 2)
     require_coprime(p, K.base, "p must be coprime to q")
     require("exp_max", exp_max, 0)
-    q, N = K.base, p**exp_max
-    found = [Fraction(0)] if 0 in K.digits else []
-    seen = bytearray(N)
-    for a in range(1, N):
-        if seen[a]:
-            continue
-        member = K.contains(Fraction(a, N))
+    # p**exp_max >= 2**exp_max, so a larger exponent is over the cap anyway
+    N = require_residues("p**exp_max", p ** min(exp_max, MAX_RESIDUES.bit_length()))
+    q = K.base
+    k = 1
+    while q ** (k + 1) * _CYLINDER_MIN <= N:
+        k += 1
+    Q = q**k
+    words = [0]
+    for _ in range(k):
+        words = [W * q + d for W in words for d in K.digits]
+    flags = bytearray(N)
+    for W in words:
+        lo, hi = -(-W * N // Q), -(-(W + 1) * N // Q)
+        flags[lo:hi] = b"\x01" * (hi - lo)
+    flagged = flags.count(1)
+    while True:
+        before, flagged = flagged, _cylinder_pass(flags, words, N, Q)
+        if before - flagged <= len(words) + N // 64:
+            break
+    step = Q % N
+    a = flags.find(1)
+    while a >= 0:
         b = a
-        while not seen[b]:
-            seen[b] = 1
-            if member:
-                found.append(Fraction(b, N))
-            b = b * q % N
+        while flags[b] == 1:  # 1: flagged, undecided; 2: on this chain or rejected
+            flags[b] = 2
+            b = b * step % N
+        if b == a:  # the chain closed: its whole cycle stays flagged
+            while flags[b] == 2:
+                flags[b] = 3  # 3: member
+                b = b * step % N
+        a = flags.find(1, a + 1)
+    found = []
+    a = flags.find(3)
+    while a >= 0:
+        if flags[a * q % N] != 3:
+            raise RuntimeError(f"internal: {a}/{N} is in K(q, A) but its shift {a * q % N}/{N} is not")
+        found.append(Fraction(a, N))
+        a = flags.find(3, a + 1)
     found.sort(key=lambda x: (x.denominator, x.numerator))
     return found
 

@@ -13,6 +13,7 @@ from qadic.rational import (
     modulus_list,
     require,
     require_coprime,
+    require_residues,
     valuation,
 )
 
@@ -183,8 +184,11 @@ class CosetDecomposition:
 
 
 def coset_decomposition(m: int, q: int) -> CosetDecomposition:
-    """Orbit decomposition of the units mod m under multiplication by q."""
+    """Orbit decomposition of the units mod m under multiplication by q.
+
+    Walks every residue mod m with one byte each, so m is capped at MAX_RESIDUES."""
     require("m", m, 1)
+    require_residues("m", m)
     require_coprime(q, m, "decomposition undefined")
     if m == 1:
         return CosetDecomposition(1, q, 1, (1,))

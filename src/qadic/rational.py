@@ -27,6 +27,8 @@ __all__ = [
     "require_coprime",
     "require_digits",
     "require_field",
+    "require_residues",
+    "MAX_RESIDUES",
     "modulus_list",
     "is_prime",
     "factorize",
@@ -123,6 +125,18 @@ def require_field(data, key: str, kind: type, what: str):
     if type(value) is not kind:
         raise PreconditionError(f"{what} field {key!r} = {value!r}; need a JSON {kind.__name__}")
     return value
+
+
+# Largest modulus for a table with one byte per residue (`dp_intersection`,
+# `coset_decomposition`): 10 MB of flags, and a walk of a few seconds.
+MAX_RESIDUES = 10**7
+
+
+def require_residues(name: str, n: int) -> int:
+    """n, if a table of one byte per residue mod n fits under MAX_RESIDUES."""
+    if n > MAX_RESIDUES:
+        raise PreconditionError(f"{name} exceeds MAX_RESIDUES = {MAX_RESIDUES}, the cap on one-byte-per-residue tables")
+    return n
 
 
 def modulus_list(values) -> tuple[int, ...]:

@@ -301,6 +301,25 @@ def test_certify_unprintable_exponent_fails_fast(capsys):
     assert err.startswith("precondition violated:") and "int-to-str limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dp", "--p", "31607", "--q", "10", "--A", "0,1", "--exp-max", "2"),
+        ("dp", "--p", "1000003", "--q", "10", "--A", "0,1", "--exp-max", "4"),
+        ("dp", "--p", "2", "--q", "3", "--A", "0,1", "--exp-max", "1000000000"),
+        ("cosets", "--m", "1000000007", "--q", "10"),
+    ],
+)
+def test_residue_tables_fail_fast(capsys, argv):
+    # each would allocate a byte per residue (10**9 and more) and walk them
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("precondition violated:") and "MAX_RESIDUES" in err
+
+
 def test_console_script_installed(tmp_path):
     """The `qadic` entry point declared in pyproject.toml runs as a command.
 

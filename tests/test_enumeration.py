@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,10 @@ def test_dp_frozen():
         dp_intersection(3, K3_01, 4)
     with pytest.raises(PreconditionError):
         dp_intersection(1, K3_01, 4)
+    with pytest.raises(PreconditionError, match="MAX_RESIDUES"):
+        dp_intersection(31607, DigitCantorSet(10, (0, 1)), 2)
+    with pytest.raises(PreconditionError, match="MAX_RESIDUES"):
+        dp_intersection(2, K3_01, 10**9)
 
 
 def _dp_unpruned(p, K, exp_max):
@@ -223,10 +228,58 @@ def _dp_unpruned(p, K, exp_max):
         (10, K3_02, 3),
         (5, DigitCantorSet(4, (0, 2)), 4),
         (6, DigitCantorSet(7, (1, 2)), 3),
+        # #A = q - 1
+        (2, DigitCantorSet(7, (0, 1, 2, 3, 4, 5)), 10),
+        (3, DigitCantorSet(10, tuple(range(9))), 7),
+        (11, DigitCantorSet(10, tuple(range(1, 10))), 3),
+        # 0 not allowed: 0 is no member
+        (2, DigitCantorSet(5, (1, 3, 4)), 9),
+        (13, DigitCantorSet(3, (1, 2)), 3),
+        # exp_max = 0: only the denominator 1
+        (5, K3_01, 0),
+        (5, DigitCantorSet(3, (1, 2)), 0),
+        # p**exp_max < q: cylinders of at most one numerator
+        (3, DigitCantorSet(10, tuple(range(9))), 1),
+        (2, DigitCantorSet(7, (1, 3)), 2),
+        # composite p, 130 members
+        (10, DigitCantorSet(7, (0, 1, 3, 4, 5, 6)), 3),
+        (21, DigitCantorSet(10, (0, 2, 5, 7)), 2),
+        # 34 members, each on an orbit of period ord_67(10) = 33
+        (67, DigitCantorSet(10, (0, 1, 2, 4, 5, 6, 7, 8, 9)), 2),
     ],
 )
 def test_dp_pruned_equals_unpruned(p, K, exp_max):
     assert dp_intersection(p, K, exp_max) == _dp_unpruned(p, K, exp_max)
+
+
+def _dp_orbit_walk(p, K, exp_max):
+    # one `contains` per orbit of a -> q*a mod p**exp_max, its verdict spread
+    # over the whole orbit: O(p**exp_max) steps, independent of the cylinders
+    q, den = K.base, p**exp_max
+    found = [Fraction(0)] if 0 in K.digits else []
+    seen = bytearray(den)
+    for a in range(1, den):
+        if seen[a]:
+            continue
+        member = K.contains(Fraction(a, den))
+        b = a
+        while not seen[b]:
+            seen[b] = 1
+            if member:
+                found.append(Fraction(b, den))
+            b = b * q % den
+    return sorted(found, key=lambda x: (x.denominator, x.numerator))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 10])
+def test_dp_matches_orbit_walk_every_digit_count(q):
+    # one seeded digit set of every size 2..q-1; 101**2 and 11**4 are near
+    # 10**4 and coprime to every base here, deep enough for several passes
+    rng = random.Random(q)
+    for size in range(2, q):
+        K = DigitCantorSet(q, tuple(rng.sample(range(q), size)))
+        for p, exp_max in ((101, 2), (11, 4)):
+            assert dp_intersection(p, K, exp_max) == _dp_orbit_walk(p, K, exp_max), (K, p)
 
 
 def test_all_digits_onset_frozen():

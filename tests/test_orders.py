@@ -146,6 +146,8 @@ def test_coset_decomposition_frozen():
     assert coset_decomposition(1, 5).representatives == (1,)
     with pytest.raises(PreconditionError):
         coset_decomposition(9, 3)
+    with pytest.raises(PreconditionError, match="MAX_RESIDUES"):
+        coset_decomposition(10**9 + 7, 10)
 
 
 def test_coset_counting():

@@ -9,6 +9,7 @@ from qadic.certificates import congruence_witness, exclusion_bound, make_certifi
 from qadic.enumeration import lattice_rows
 from qadic.orders import product_stabilization
 from qadic.rational import (
+    MAX_RESIDUES,
     PreconditionError,
     Rational,
     euler_phi,
@@ -20,6 +21,7 @@ from qadic.rational import (
     parse_rational,
     require,
     require_digits,
+    require_residues,
     split_coprime_part,
     valuation,
 )
@@ -193,3 +195,9 @@ def test_parse_natural_accepts_only_ascii_digit_runs():
             parse_natural(bad)
     with pytest.raises(PreconditionError, match="5000 digits"):
         parse_natural("7" * 5000)
+
+
+def test_require_residues_cap():
+    assert require_residues("m", MAX_RESIDUES) == MAX_RESIDUES
+    with pytest.raises(PreconditionError, match="m exceeds MAX_RESIDUES"):
+        require_residues("m", MAX_RESIDUES + 1)
