@@ -48,8 +48,7 @@ def _repeated_block(period):
     of length n/r for some prime r dividing n, that is, when it equals its
     rotation by n/r; so only those rotations are tested, each by comparing
     two tuple slices.  The primes come from trial division of n, inline: it is
-    far cheaper than the slices, and factorize would build its table of
-    small primes in every process that constructs an expansion.
+    far cheaper than the slices.
     """
     n = m = len(period)
     primes = []

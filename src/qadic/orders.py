@@ -186,7 +186,10 @@ class CosetDecomposition:
 def coset_decomposition(m: int, q: int) -> CosetDecomposition:
     """Orbit decomposition of the units mod m under multiplication by q.
 
-    Walks every residue mod m with one byte each, so m is capped at MAX_RESIDUES."""
+    Keeps one byte per residue mod m, so m is capped at MAX_RESIDUES: the
+    multiples of each prime of m are flagged by one slice assignment, and
+    each unflagged residue left, found by `bytearray.find`, starts a new
+    orbit, walked and flagged one residue at a time."""
     require("m", m, 1)
     require_residues("m", m)
     require_coprime(q, m, "decomposition undefined")
@@ -194,10 +197,11 @@ def coset_decomposition(m: int, q: int) -> CosetDecomposition:
         return CosetDecomposition(1, q, 1, (1,))
     order = mult_order(q, m)
     seen = bytearray(m)
+    for p, _ in factorize(m):
+        seen[::p] = b"\1" * len(range(0, m, p))
     reps = []
-    for a in range(1, m):
-        if seen[a] or math.gcd(a, m) != 1:
-            continue
+    a = seen.find(0)
+    while a >= 0:
         reps.append(a)
         x = a
         steps = 0
@@ -207,6 +211,7 @@ def coset_decomposition(m: int, q: int) -> CosetDecomposition:
             steps += 1
         if steps != order:
             raise RuntimeError(f"internal: orbit of {a} mod {m} has size {steps}, expected {order}")
+        a = seen.find(0, a + 1)
     if len(reps) * order != euler_phi(m):
         raise RuntimeError(f"internal: coset count mismatch for m={m}, q={q}")
     return CosetDecomposition(m, q, order, tuple(reps))

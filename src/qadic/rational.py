@@ -5,15 +5,20 @@ else, and the precondition checks every module shares (`require`,
 
 Integers are plain Python ints (arbitrary precision, always exact); rationals
 are `fractions.Fraction` values, kept in lowest terms by construction.
-Factorization runs trial division below one million and then Brent's cycle
-method with Miller-Rabin/Lucas primality certification; inputs whose surviving
-hard factors exceed roughly 120 bits are outside the supported range.
+Factorization trial-divides by the 172 primes below 2**10, then splits what is
+left by Brent's cycle method (Brent, BIT 20, 1980), with Miller-Rabin/Lucas
+primality tests. Brent's method needs about sqrt(p) steps to find a prime
+factor p, so one `factorize` call may take at most MAX_RHO_STEPS = 2**21 steps
+and raises PreconditionError past it. A product of two primes in [2**31, 2**32]
+takes about 10**5 steps (at most 257,916 over 1,500 of them), so the cap leaves
+room for every prime factor but the largest up to roughly 2**36.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -29,6 +34,7 @@ __all__ = [
     "require_field",
     "require_residues",
     "MAX_RESIDUES",
+    "MAX_RHO_STEPS",
     "modulus_list",
     "is_prime",
     "factorize",
@@ -109,7 +115,18 @@ def require_coprime(a: int, m: int, what: str):
 
 
 def require_digits(digits, base: int):
-    """Every digit must be a plain int (a bool is not one) in [0, base)."""
+    """Every digit of the sequence must be a plain int (a bool is not one) in [0, base).
+
+    The check runs in C: the plain ints are counted, then packed into bytes,
+    and deleting the bytes below base must leave nothing. When it fails, the
+    loop names the first bad digit; it also passes digits of 256 and more in
+    bases above 256, which `bytes` rejects."""
+    if operator.countOf(map(type, digits), int) == len(digits):
+        try:
+            if not bytes(digits).translate(None, bytes(range(min(base, 256)))):
+                return
+        except ValueError:  # a digit outside [0, 256)
+            pass
     for d in digits:
         if type(d) is not int or not 0 <= d < base:
             raise PreconditionError(f"digit {d!r} out of range for base {base}")
@@ -151,32 +168,29 @@ def modulus_list(values) -> tuple[int, ...]:
     return values
 
 
-_TRIAL_LIMIT = 1_000_000
-_small_prime_cache = None
+# Trial division runs over the primes below _TRIAL_BOUND; Brent's method finds
+# every larger factor. 172 primes, sieved at import in microseconds.
+_TRIAL_BOUND = 1 << 10
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(itertools.compress(range(n), sieve))
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+
+# Cap on the f-steps of Brent's method in one `factorize` call: about 8x the
+# most that a product of two primes below 2**32 has needed.
+MAX_RHO_STEPS = 1 << 21
 
 # Below this bound the fixed Miller-Rabin base set is a deterministic test.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def _small_primes():
-    """The primes below _TRIAL_LIMIT, sieved on first use.
-
-    Held as an array of C unsigned ints: 0.3 MB, against 3.0 MB as a list of
-    Python ints, for the rest of the life of any process that factors."""
-    global _small_prime_cache
-    if _small_prime_cache is None:
-        # imported here: loading the array extension would add about 0.5 ms
-        # to every `import qadic`, and many CLI calls never factor
-        from array import array
-
-        sieve = bytearray([1]) * _TRIAL_LIMIT
-        sieve[0] = sieve[1] = 0
-        for p in range(2, math.isqrt(_TRIAL_LIMIT) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _small_prime_cache = array("I", itertools.compress(range(_TRIAL_LIMIT), sieve))
-    return _small_prime_cache
 
 
 def _mr_witness(n: int, a: int) -> bool:
@@ -256,69 +270,97 @@ def is_prime(n: int) -> bool:
     return not _mr_witness(n, 2) and _strong_lucas_prp(n)
 
 
-def _brent_cycle(n: int, c: int) -> int:
-    # One Brent rho round with increment c; returns a factor (possibly n).
-    if n % 2 == 0:
-        return 2
-    y, r, q = 2, 1, 1
-    g = 1
-    x = ys = y
-    m = 128
+def _brent_cycle(n: int, c: int, budget: int) -> tuple[int, int]:
+    """A factor of n above 1 (possibly n) by one run of Brent's method with
+    f(y) = y*y + c mod n, and what it leaves of a budget of f-steps.
+
+    The gcd is taken once per batch of up to 128 steps, on the product of the
+    differences x - y (gcd ignores their sign); the steps go two to a pass, so
+    r starts at 2 to keep every batch even. A batch that reaches gcd n is
+    stepped again from its start, ys, one gcd per step."""
+    y, r, q, g = 2, 2, 1, 1
     while g == 1:
+        budget = _spend(budget, r, n)
         x = y
         for _ in range(r):
             y = (y * y + c) % n
         k = 0
         while k < r and g == 1:
             ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
+            batch = min(128, r - k)
+            budget = _spend(budget, batch, n)
+            for _ in range(batch >> 1):
+                y1 = (y * y + c) % n
+                y = (y1 * y1 + c) % n
+                q = q * (x - y1) * (x - y) % n
             g = math.gcd(q, n)
-            k += m
+            k += batch
         r *= 2
     if g == n:
         g = 1
         y = ys
         while g == 1:
+            budget = _spend(budget, 1, n)
             y = (y * y + c) % n
-            g = math.gcd(abs(x - y), n)
-    return g
+            g = math.gcd(x - y, n)
+    return g, budget
+
+
+def _spend(budget: int, steps: int, n: int) -> int:
+    budget -= steps
+    if budget < 0:
+        raise PreconditionError(
+            f"factoring a {n.bit_length()}-bit cofactor exceeds MAX_RHO_STEPS = {MAX_RHO_STEPS}, "
+            "the cap on steps of Brent's method in one factorization"
+        )
+    return budget
 
 
 def _factor_hard(n: int, out: dict):
+    """Add the factorization of n, which has no prime factor below _TRIAL_BOUND, to out.
+
+    Each prime found is divided out of every later part at once, so a prime
+    power costs one run of Brent's method, not one per exponent."""
+    budget = MAX_RHO_STEPS
+    found = []
     stack = [n]
     while stack:
         v = stack.pop()
+        for p in found:
+            while v % p == 0:
+                v //= p
+                out[p] += 1
         if v == 1:
             continue
         if is_prime(v):
-            out[v] = out.get(v, 0) + 1
+            out[v] = 1
+            found.append(v)
             continue
         c = 1
-        d = _brent_cycle(v, c)
-        while not 1 < d < v:
+        d, budget = _brent_cycle(v, c, budget)
+        while d == v:
             c += 1
-            d = _brent_cycle(v, c)
-        stack.append(d)
-        stack.append(v // d)
+            d, budget = _brent_cycle(v, c, budget)
+        stack += (v // d, d)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as a sorted list of (prime, exponent) pairs."""
+    """Prime factorization of n >= 1 as a sorted list of (prime, exponent) pairs.
+
+    Raises PreconditionError past MAX_RHO_STEPS steps of Brent's method."""
     require("n", n, 1)
     out: dict[int, int] = {}
     m = n
-    for p in _small_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
             m //= p
             out[p] = out.get(p, 0) + 1
     if m > 1:
-        if m < _TRIAL_LIMIT * _TRIAL_LIMIT:
-            # no divisor below the trial limit, so m is prime
-            out[m] = out.get(m, 0) + 1
+        if m < _TRIAL_BOUND * _TRIAL_BOUND:
+            # no prime factor below the trial bound, so m is prime
+            out[m] = 1
         else:
             _factor_hard(m, out)
     return sorted(out.items())

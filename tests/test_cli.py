@@ -320,6 +320,18 @@ def test_residue_tables_fail_fast(capsys, argv):
     assert err.startswith("precondition violated:") and "MAX_RESIDUES" in err
 
 
+def test_factorization_budget_fails_fast(capsys):
+    # 2**128 + 1 = 59649589127497217 * 5704689200685129054721: Brent's method
+    # would need about 2 * 10**8 steps to find the smaller factor; the cap of
+    # 2**21 steps stops it in about 1.5 s on a 2-vCPU x86-64 host
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "order", "--a", "2", "--m", str(2**128 + 1))
+    assert time.perf_counter() - start < 6
+    assert code == 2
+    assert out == ""
+    assert err.startswith("precondition violated:") and "MAX_RHO_STEPS" in err
+
+
 def test_console_script_installed(tmp_path):
     """The `qadic` entry point declared in pyproject.toml runs as a command.
 

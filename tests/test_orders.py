@@ -150,6 +150,36 @@ def test_coset_decomposition_frozen():
         coset_decomposition(10**9 + 7, 10)
 
 
+def _coset_gcd_walk(m, q):
+    # one gcd per residue to skip the non-units, and a walk from each unit
+    # not yet seen: the representatives and the common orbit size
+    seen = bytearray(m)
+    reps, sizes = [], set()
+    for a in range(1, m):
+        if seen[a] or math.gcd(a, m) != 1:
+            continue
+        reps.append(a)
+        x, steps = a, 0
+        while not seen[x]:
+            seen[x] = 1
+            x = x * q % m
+            steps += 1
+        sizes.add(steps)
+    (size,) = sizes
+    return size, tuple(reps)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 10])
+def test_coset_decomposition_matches_gcd_walk(q):
+    near = (99991, 100000, 100003, 100007)
+    powers = (3**10, 7**6, 11**4, 13**4, 101**2, 2**16, 5**7)
+    for m in [*range(2, 2001), *near, *powers]:
+        if math.gcd(m, q) != 1:
+            continue
+        c = coset_decomposition(m, q)
+        assert (c.orbit_size, c.representatives) == _coset_gcd_walk(m, q), m
+
+
 def test_coset_counting():
     for q in (2, 3, 10):
         for m in range(1, 2001, 97):

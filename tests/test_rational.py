@@ -1,15 +1,18 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies
 
+from qadic import rational
 from qadic.cantor import DigitCantorSet
 from qadic.certificates import congruence_witness, exclusion_bound, make_certificate
 from qadic.enumeration import lattice_rows
 from qadic.orders import product_stabilization
 from qadic.rational import (
     MAX_RESIDUES,
+    MAX_RHO_STEPS,
     PreconditionError,
     Rational,
     euler_phi,
@@ -48,6 +51,56 @@ def test_factorize_reconstructs_and_sorts():
 def test_factorize_large_semiprime():
     p, q = 1000003, 1000033
     assert factorize(p * q) == [(p, 1), (q, 1)]
+
+
+def _random_prime(rng, lo, hi):
+    # an odd draw from [lo, hi) kept if prime, as the benchmark draws them
+    while True:
+        n = rng.randrange(lo, hi) | 1
+        if is_prime(n):
+            return n
+
+
+def _products_of_known_primes():
+    # each entry is a list of primes, so its factorization is known by construction
+    rng = random.Random(20261018)
+    above = (1031, 1033, 1039)  # the first primes above the trial bound 2**10
+    mersenne = 2**31 - 1
+    yield from ([p, p] for p in above)
+    yield from ([p, p, p] for p in above)
+    yield [mersenne, mersenne]
+    yield [mersenne] * 3
+    yield [1021, 1031]  # the largest trial prime times the smallest prime past it
+    yield [1031] * 40
+    # straddling the old trial limit of 10**6
+    yield [999983, 1000003]
+    yield [999983, 999983]
+    yield [1009, 999983, 4294967291]
+    yield [1000003, 1000033, 1000037]
+    for _ in range(4):
+        # 64-bit semiprimes like the `orders` benchmark's
+        yield [_random_prime(rng, 1 << 31, 1 << 32) for _ in range(2)]
+        # a prime below 2**20 times a 32-bit prime
+        yield [_random_prime(rng, 1 << 10, 1 << 20), _random_prime(rng, 1 << 31, 1 << 32)]
+        # small and medium primes mixed, with repeats
+        medium = [_random_prime(rng, 1 << 10, 1 << 24) for _ in range(3)]
+        yield [rng.choice((2, 3, 5, 1021)) for _ in range(5)] + medium * 2
+
+
+def test_factorize_known_by_construction():
+    for primes in _products_of_known_primes():
+        assert factorize(math.prod(primes)) == sorted(Counter(primes).items()), primes
+
+
+def test_factorize_budget_names_its_cap(monkeypatch):
+    # a product of two 32-bit primes takes about 10**5 steps of Brent's method
+    n = 4294967291 * 4294967279
+    monkeypatch.setattr(rational, "MAX_RHO_STEPS", 1000)
+    with pytest.raises(PreconditionError, match="MAX_RHO_STEPS = 1000"):
+        factorize(n)
+    monkeypatch.undo()
+    assert MAX_RHO_STEPS >= 1 << 21
+    assert factorize(n) == [(4294967279, 1), (4294967291, 1)]
 
 
 def test_is_prime_against_sieve():
@@ -182,9 +235,19 @@ def test_require_rejects_bools_floats_and_small_values():
         with pytest.raises(PreconditionError, match="k = "):
             require("k", value, 0)
     require_digits((0, 1, 2), 3)
-    for digits in ((0, 3), (-1,), (True,), (1.0,), ("1",)):
+    require_digits((), 3)
+    require_digits((0, 300, 999), 1000)
+    for digits in ((0, 3), (-1,), (True,), (1.0,), ("1",), (1, True), (0, 1, 1.0), (None,), (2**70,)):
         with pytest.raises(PreconditionError, match="base 3"):
             require_digits(digits, 3)
+    for digits, base in (((0, 1000), 1000), ((256,), 256), ((255,), 255), ((-1, 5), 1000)):
+        with pytest.raises(PreconditionError, match=f"base {base}"):
+            require_digits(digits, base)
+    # the message names the first bad digit, as a per-digit loop would
+    with pytest.raises(PreconditionError, match=r"^digit 5 out of range for base 3$"):
+        require_digits((0, 1) * 1000 + (5, True, 7), 3)
+    with pytest.raises(PreconditionError, match=r"^digit True out of range for base 3$"):
+        require_digits((1, 2) * 1000 + (True, 5), 3)
 
 
 def test_parse_natural_accepts_only_ascii_digit_runs():
