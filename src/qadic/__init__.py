@@ -24,11 +24,8 @@ from qadic.enumeration import (
 from qadic.expansion import (
     ExpansionQ,
     alternate_expansion,
-    blocks_present,
-    digit_at,
     digit_set,
     expand,
-    is_finite_expansion,
     shift_digits,
 )
 from qadic.orders import (
@@ -37,7 +34,6 @@ from qadic.orders import (
     coset_decomposition,
     mult_order,
     orbit_of,
-    orbit_witness,
     order_lcm,
     order_of_prime_power,
     order_stabilization,
@@ -45,7 +41,6 @@ from qadic.orders import (
 )
 from qadic.rational import (
     PreconditionError,
-    Rational,
     euler_phi,
     factorize,
     format_rational,
@@ -76,24 +71,19 @@ __all__ = [
     "mult_dependence",
     "ExpansionQ",
     "alternate_expansion",
-    "blocks_present",
-    "digit_at",
     "digit_set",
     "expand",
-    "is_finite_expansion",
     "shift_digits",
     "CosetDecomposition",
     "OrderStabilization",
     "coset_decomposition",
     "mult_order",
     "orbit_of",
-    "orbit_witness",
     "order_lcm",
     "order_of_prime_power",
     "order_stabilization",
     "product_stabilization",
     "PreconditionError",
-    "Rational",
     "euler_phi",
     "factorize",
     "format_rational",

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from qadic import kernels
-from qadic.expansion import alternate_expansion, shift_digits
+from qadic.expansion import alternate_expansion
 from qadic.rational import PreconditionError, parse_rational, require, require_digits, require_field, split_coprime_part
 
 __all__ = ["Gap", "DigitCantorSet"]
@@ -40,7 +40,7 @@ class Gap:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Gap":
-        return cls(Fraction(parse_rational(data.get("left"))), Fraction(parse_rational(data.get("right"))))
+        return cls(parse_rational(data.get("left")), parse_rational(data.get("right")))
 
 
 @dataclass(frozen=True)
@@ -118,15 +118,6 @@ class DigitCantorSet:
         if t_hat == 1 and self.base - 1 in self.digits:
             return alternate_expansion(x, self.base).digits_used() <= set(self.digits)
         return False
-
-    def shift_hits_gap(self, x, n: int) -> bool:
-        """True iff q**n * x mod 1 lands strictly inside the largest gap.
-
-        A true answer proves x is not in the set: the shift of a member is a
-        member, and the gap is disjoint from the set."""
-        if not 0 <= x < 1:
-            raise PreconditionError(f"x = {x} outside [0, 1)")
-        return shift_digits(x, self.base, n) in self.largest_gap
 
     def to_dict(self) -> dict:
         return {"base": self.base, "digits": list(self.digits)}

@@ -11,7 +11,6 @@ the base, the digit set and the exponent.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +22,7 @@ from qadic.rational import (
     euler_phi,
     factorize,
     format_rational,
+    int_str_limit,
     modulus_list,
     parse_natural,
     parse_rational,
@@ -30,6 +30,7 @@ from qadic.rational import (
     require_coprime,
     require_digits,
     require_field,
+    valuation,
 )
 
 __all__ = [
@@ -61,12 +62,7 @@ def _witness_base(q: int, t: int, primes: tuple[int, ...], h: int):
     require_coprime(q, t * P, "q must be coprime to t times the moduli")
     n0 = euler_phi(t * P ** (h + 1))
     support = {p: dict(factorize(p)) for p in primes}
-    t_val = {r: 0 for p in primes for r in support[p]}
-    for r in t_val:
-        m = t
-        while m % r == 0:
-            m //= r
-            t_val[r] += 1
+    t_val = {r: valuation(t, r) for p in primes for r in support[p]}
     p_val = {r: sum(support[p].get(r, 0) for p in primes) for r in t_val}
     avail = {}
     for r in t_val:
@@ -112,8 +108,7 @@ def _witness_base(q: int, t: int, primes: tuple[int, ...], h: int):
 class CongruenceWitness:
     """An exponent realizing q**n = 1 + b*t*prod(p^k) mod t*prod(p^(k+h)).
 
-    base_exponents are the r_j of the seed congruence; the exponent scales by
-    p_i for each unit added to k_i."""
+    The exponent scales by p_i for each unit added to k_i."""
 
     q: int
     t: int
@@ -123,8 +118,6 @@ class CongruenceWitness:
     k0: int
     k_tuple: tuple[int, ...]
     exponent: int
-    base_exponents: tuple[int, ...]
-    seed_exponent: int
 
     def modulus(self) -> int:
         return self.t * math.prod(p ** (k + self.h) for p, k in zip(self.primes, self.k_tuple))
@@ -163,7 +156,7 @@ def congruence_witness(q: int, t: int, primes, h: int, k_tuple) -> CongruenceWit
     if any(k < k0 for k in k_tuple):
         raise PreconditionError(f"k_tuple {list(k_tuple)} below the stabilization threshold k0 = {k0}")
     exponent = n0 * math.prod(p ** (k - r) for p, k, r in zip(primes, k_tuple, r_list))
-    witness = CongruenceWitness(q, t, primes, h, b, k0, k_tuple, exponent, r_list, n0)
+    witness = CongruenceWitness(q, t, primes, h, b, k0, k_tuple, exponent)
     if not witness.check():
         raise RuntimeError("internal: constructed witness fails its congruence")
     return witness
@@ -182,8 +175,6 @@ def _reduce_value(alpha: Fraction, q: int, P: int) -> tuple[int, int, int]:
         if math.gcd(s_red, P) == 1 and math.gcd(t_red, q) == 1:
             break
         r += 1
-    if r == 0:
-        return 0, s, t
     reduced = alpha * Fraction(q**r, P**r)
     return r, reduced.numerator, reduced.denominator
 
@@ -314,11 +305,11 @@ def certificate_from_dict(data: dict) -> ExclusionCertificate:
     if any(a >= b for a, b in zip(digits, digits[1:])):
         raise PreconditionError(f"certificate digits {list(digits)} are not strictly increasing")
     return ExclusionCertificate(
-        value=Fraction(parse_rational(require_field(data, "value", str, "certificate"))),
+        value=parse_rational(require_field(data, "value", str, "certificate")),
         base=base,
         digits=digits,
         exponent=parse_natural(data.get("exponent"), "exponent"),
-        residue=Fraction(parse_rational(require_field(data, "residue", str, "certificate"))),
+        residue=parse_rational(require_field(data, "residue", str, "certificate")),
         gap=Gap.from_dict(require_field(data, "gap", dict, "certificate")),
     )
 
@@ -350,7 +341,7 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     if i_m == 0:
         raise RuntimeError("internal: shift index collapsed to zero")
     exponent = r + i_m * n
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before Python 3.10.7: no limit
+    limit = int_str_limit()
     if limit and exponent >= 10**limit:
         raise PreconditionError(
             f"certificate exponent has more than {limit} decimal digits, "
@@ -370,14 +361,18 @@ def verify_certificate(cert) -> bool:
     """True iff the residue recomputed from (value, exponent) lies strictly in the
     largest gap recomputed from (base, digits).
 
-    Malformed input (anything that raises PreconditionError) returns False;
-    any other exception is a fault and propagates.  A True answer is a sound
-    proof that value is not in the set."""
+    The residue is one modular power here, not the certifier's shift.
+    Malformed input (anything that raises PreconditionError, or a negative
+    value) returns False; any other exception is a fault and propagates.  A
+    True answer is a sound proof that value is not in the set."""
     try:
         if not isinstance(cert, ExclusionCertificate):
             cert = certificate_from_dict(cert)
         K = DigitCantorSet(cert.base, cert.digits)
-        residue = shift_digits(cert.value, cert.base, cert.exponent)
-        return residue in K.largest_gap
+        require("exponent", cert.exponent, 0)
+        if cert.value < 0:
+            return False
+        num, den = cert.value.numerator, cert.value.denominator
+        return Fraction(num * pow(cert.base, cert.exponent, den) % den, den) in K.largest_gap
     except PreconditionError:
         return False

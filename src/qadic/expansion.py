@@ -6,16 +6,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qadic import kernels
-from qadic.rational import PreconditionError, require, require_digits, require_field, split_coprime_part
+from qadic.rational import PreconditionError, factorize, require, require_digits, require_field, split_coprime_part
 
 __all__ = [
     "ExpansionQ",
     "expand",
-    "digit_at",
     "digit_set",
-    "blocks_present",
     "alternate_expansion",
-    "is_finite_expansion",
     "shift_digits",
 ]
 
@@ -47,21 +44,10 @@ def _repeated_block(period):
     A period of length n repeats a shorter block exactly when it repeats one
     of length n/r for some prime r dividing n, that is, when it equals its
     rotation by n/r; so only those rotations are tested, each by comparing
-    two tuple slices.  The primes come from trial division of n, inline: it is
-    far cheaper than the slices.
+    two tuple slices.
     """
-    n = m = len(period)
-    primes = []
-    r = 2
-    while r * r <= m:
-        if m % r == 0:
-            primes.append(r)
-            while m % r == 0:
-                m //= r
-        r += 1
-    if m > 1:
-        primes.append(m)
-    for r in primes:
+    n = len(period)
+    for r, _ in factorize(n):
         # for k dividing n, equal to the rotation by k iff equal to the shift by k
         k = n // r
         if period[k:] == period[:-k]:
@@ -101,23 +87,6 @@ class ExpansionQ:
         rep = _digits_int(self.period, 0, n, q)
         return Fraction(head * (q**n - 1) + rep, q**v * (q**n - 1))
 
-    def digit(self, i: int) -> int:
-        """The i-th digit, i >= 1, by indexing rather than materializing."""
-        require("i", i, 1)
-        v = len(self.preperiod)
-        if i <= v:
-            return self.preperiod[i - 1]
-        return self.period[(i - v - 1) % len(self.period)]
-
-    def prefix(self, n: int) -> tuple[int, ...]:
-        """The first n digits."""
-        require("n", n, 0)
-        v = len(self.preperiod)
-        if n <= v:
-            return self.preperiod[:n]
-        reps = (n - v) // len(self.period) + 1
-        return (self.preperiod + self.period * reps)[:n]
-
     def digits_used(self) -> frozenset[int]:
         return frozenset(self.preperiod) | frozenset(self.period)
 
@@ -156,11 +125,6 @@ def expand(x, q: int) -> ExpansionQ:
     return ExpansionQ(q, tuple(pre), tuple(per))
 
 
-def digit_at(x, q: int, i: int) -> int:
-    """Digit i (1-based) of the canonical expansion of x."""
-    return expand(x, q).digit(i)
-
-
 def digit_set(x, q: int) -> set[int]:
     """The set of digits occurring in the canonical expansion of x.
 
@@ -171,16 +135,6 @@ def digit_set(x, q: int) -> set[int]:
     _, _, v = split_coprime_part(x.denominator, q)
     mask = kernels.digit_mask(x.numerator, x.denominator, q, v)
     return set(kernels.mask_digits(mask))
-
-
-def blocks_present(x, q: int, m: int) -> set[tuple[int, ...]]:
-    """All length-m digit blocks occurring in the canonical expansion of x.
-
-    The preperiod plus m copies of the period cover every block phase."""
-    require("m", m, 1)
-    e = expand(x, q)
-    digits = e.preperiod + e.period * m
-    return {digits[i : i + m] for i in range(len(digits) - m + 1)}
 
 
 def alternate_expansion(x, q: int) -> ExpansionQ | None:
@@ -195,15 +149,6 @@ def alternate_expansion(x, q: int) -> ExpansionQ | None:
         return None
     pre = e.preperiod
     return ExpansionQ(q, pre[:-1] + (pre[-1] - 1,), (q - 1,))
-
-
-def is_finite_expansion(x, p: int) -> bool:
-    """True iff x in [0, 1] has a terminating base-p expansion (denominator divides p**n)."""
-    require("p", p, 2)
-    if not 0 <= x <= 1:
-        raise PreconditionError(f"x = {x} outside [0, 1]")
-    t_hat, _, _ = split_coprime_part(x.denominator, p)
-    return t_hat == 1
 
 
 def shift_digits(x, q: int, n: int) -> Fraction:

@@ -9,6 +9,7 @@ from qadic.rational import (
     PreconditionError,
     euler_phi,
     factorize,
+    int_str_limit,
     is_prime,
     modulus_list,
     require,
@@ -24,11 +25,9 @@ __all__ = [
     "order_of_prime_power",
     "order_lcm",
     "product_stabilization",
-    "product_stabilization_minimal",
     "CosetDecomposition",
     "coset_decomposition",
     "orbit_of",
-    "orbit_witness",
 ]
 
 
@@ -64,28 +63,42 @@ class OrderStabilization:
         return {"p": self.p, "q": self.q, "k0": self.k0, "order": self.order, "b": self.b}
 
 
-def order_stabilization(p: int, q: int) -> OrderStabilization:
-    """Stabilization data for ord(q) modulo powers of the prime p."""
+def _stabilization(p: int, q: int) -> tuple[int, int]:
+    """(k0, order): order = ord(q mod p**2), and p**k0 exactly divides q**order - 1.
+
+    Modular powers only, so b = (q**order - 1) / p**k0 is never built."""
     if not is_prime(p):
         raise PreconditionError(f"p = {p} is not prime")
     require("q", q, 2)
     require_coprime(q, p, "stabilization undefined")
     d2 = mult_order(q, p * p)
-    z = q**d2 - 1
-    k0 = valuation(z, p)
-    b = z // p**k0
-    if k0 < 2:
-        raise RuntimeError(f"internal: stabilization exponent {k0} below 2 for p={p}, q={q}")
-    return OrderStabilization(p, q, k0, d2, b)
+    k0 = 2
+    while pow(q, d2, p ** (k0 + 1)) == 1:
+        k0 += 1
+    return k0, d2
+
+
+def order_stabilization(p: int, q: int) -> OrderStabilization:
+    """Stabilization data for ord(q) modulo powers of the prime p.
+
+    A b past the int-to-str limit, where one applies, raises
+    PreconditionError, before q**order is built when k0 shows it."""
+    k0, d2 = _stabilization(p, q)
+    limit = int_str_limit()
+    # b >= 2**(d2*(bits(q)-1) - k0*bits(p)), and 2**(4*limit) > 10**limit > 2**(3*limit)
+    if not limit or d2 * (q.bit_length() - 1) - k0 * p.bit_length() <= 4 * limit:
+        b, rest = divmod(q**d2 - 1, p**k0)
+        if rest or b % p == 0:
+            raise RuntimeError(f"internal: p**{k0} is not the exact power of p in q**{d2} - 1 for p={p}, q={q}")
+        if not limit or b.bit_length() <= 3 * limit or b < 10**limit:
+            return OrderStabilization(p, q, k0, d2, b)
+    raise PreconditionError(f"stabilization b has more than {limit} digits, the int-to-str limit")
 
 
 def order_of_prime_power(p: int, q: int, k: int) -> int:
     """ord of q modulo p**k, via the stabilization formula once k reaches k0."""
     require("k", k, 1)
-    stab = order_stabilization(p, q)
-    if k >= stab.k0:
-        return p ** (k - stab.k0) * stab.order
-    return mult_order(q, p**k)
+    return _order_of_prime_vector((p,), q, (k,), (_stabilization(p, q),))
 
 
 def order_lcm(a: int, m1: int, m2: int) -> int:
@@ -96,19 +109,10 @@ def order_lcm(a: int, m1: int, m2: int) -> int:
     return n1 // math.gcd(n1, n2) * n2
 
 
-def _distinct_primes(primes) -> tuple[int, ...]:
-    # every entry is checked before any order is computed
-    primes = modulus_list(primes)
-    for p in primes:
-        if not is_prime(p):
-            raise PreconditionError(f"p = {p} is not prime")
-    return primes
-
-
 def _order_of_prime_vector(primes, q, ks, stabs) -> int:
     order = 1
-    for p, k, stab in zip(primes, ks, stabs):
-        part = p ** (k - stab.k0) * stab.order if k >= stab.k0 else mult_order(q, p**k)
+    for p, k, (k0, d2) in zip(primes, ks, stabs):
+        part = p ** (k - k0) * d2 if k >= k0 else mult_order(q, p**k)
         order = order // math.gcd(order, part) * part
     return order
 
@@ -121,34 +125,21 @@ def product_stabilization(primes, q: int) -> int:
     the stabilization argument (max r-exponent plus max k0), which need not be
     minimal; the identity is verified internally on the {n0, n0+1} grid.
     """
-    primes = _distinct_primes(primes)
-    stabs = [order_stabilization(p, q) for p in primes]
+    primes = modulus_list(primes)
+    for p in primes:  # every entry is checked before any order is computed
+        if not is_prime(p):
+            raise PreconditionError(f"p = {p} is not prime")
+    stabs = [_stabilization(p, q) for p in primes]
     r_max = 0
-    for j, stab in enumerate(stabs):
+    for j, (_, d2) in enumerate(stabs):
         for i, p in enumerate(primes):
             # cross valuations only: the p_j part of its own order grows with
             # k_j and is absorbed by the k0 threshold, not by the r matrix
             if i != j:
-                r_max = max(r_max, valuation(stab.order, p))
-    n0 = r_max + max(stab.k0 for stab in stabs)
+                r_max = max(r_max, valuation(d2, p))
+    n0 = r_max + max(k0 for k0, _ in stabs)
     _verify_box_identity(primes, q, stabs, n0)
     return n0
-
-
-def product_stabilization_minimal(primes, q: int) -> int:
-    """Smallest exponent passing the same grid check as product_stabilization.
-
-    Only the {n, n+1} grid is verified, so this is a search result, not a
-    proof constant."""
-    primes = _distinct_primes(primes)
-    stabs = [order_stabilization(p, q) for p in primes]
-    n = 1
-    while True:
-        try:
-            _verify_box_identity(primes, q, stabs, n)
-            return n
-        except RuntimeError:
-            n += 1
 
 
 def _verify_box_identity(primes, q, stabs, n0):
@@ -231,20 +222,3 @@ def orbit_of(a: int, q: int, m: int) -> list[int]:
         x = x * q % m
     return out
 
-
-def orbit_witness(x: int, y: int, q: int, m: int) -> int | None:
-    """Least n >= 1 with q**n * x = y mod m, or None if y is outside the orbit of x."""
-    require("m", m, 1)
-    require_coprime(q, m, "orbit undefined")
-    if m == 1:
-        return 1
-    require_coprime(x, m, "x is not a unit")
-    require_coprime(y, m, "y is not a unit")
-    order = mult_order(q, m)
-    cur = x % m
-    target = y % m
-    for n in range(1, order + 1):
-        cur = cur * q % m
-        if cur == target:
-            return n
-    return None

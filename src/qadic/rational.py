@@ -1,17 +1,19 @@
-"""Exact nonnegative rationals, the elementary number theory used everywhere
-else, and the precondition checks every module shares (`require`,
-`require_coprime`, `require_digits`, `require_field`, `modulus_list`,
-`parse_natural`).
+"""Exact parsing and formatting of rationals, the elementary number theory
+used everywhere else, and the precondition checks every module shares
+(`require`, `require_coprime`, `require_digits`, `require_field`,
+`modulus_list`, `parse_natural`, `int_str_limit`).
 
 Integers are plain Python ints (arbitrary precision, always exact); rationals
 are `fractions.Fraction` values, kept in lowest terms by construction.
 Factorization trial-divides by the 172 primes below 2**10, then splits what is
 left by Brent's cycle method (Brent, BIT 20, 1980), with Miller-Rabin/Lucas
 primality tests. Brent's method needs about sqrt(p) steps to find a prime
-factor p, so one `factorize` call may take at most MAX_RHO_STEPS = 2**21 steps
+factor p; a step modulo n costs w**2 for n of w 64-bit words, so one
+`factorize` call may spend at most MAX_RHO_STEPS = 2**21 steps weighted by w**2
 and raises PreconditionError past it. A product of two primes in [2**31, 2**32]
 takes about 10**5 steps (at most 257,916 over 1,500 of them), so the cap leaves
-room for every prime factor but the largest up to roughly 2**36.
+room for every prime factor but the largest up to roughly 2**36 below 2**64,
+2**32 below 2**128 and 2**24 below 2**512; a 3278-bit n gets 775 steps.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import itertools
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 
 __all__ = [
     "PreconditionError",
-    "Rational",
     "parse_rational",
     "parse_natural",
     "format_rational",
@@ -33,6 +35,7 @@ __all__ = [
     "require_digits",
     "require_field",
     "require_residues",
+    "int_str_limit",
     "MAX_RESIDUES",
     "MAX_RHO_STEPS",
     "modulus_list",
@@ -49,25 +52,11 @@ class PreconditionError(ValueError):
     """An operation was called outside its contract; the message names the violated hypothesis."""
 
 
-class Rational(Fraction):
-    """Nonnegative exact fraction; negative values are rejected at construction.
-
-    Arithmetic is inherited from Fraction and may return plain Fraction
-    values; construct a Rational at boundaries where the sign contract matters.
-    """
-
-    def __new__(cls, numerator=0, denominator=None):
-        self = super().__new__(cls, numerator, denominator)
-        if self < 0:
-            raise PreconditionError(f"negative value {self}; only nonnegative rationals are supported")
-        return self
-
-
 _RATIONAL_RE = re.compile(r"\s*(\d+)\s*(?:/\s*(\d+))?\s*")
 
 
-def parse_rational(text: str) -> Rational:
-    """Parse "num/den" (or a bare natural) into a Rational; float syntax is rejected."""
+def parse_rational(text: str) -> Fraction:
+    """Parse "num/den" (or a bare natural) into a Fraction; signs and float syntax are rejected."""
     m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if not m:
         raise PreconditionError(f'malformed rational {text!r}; expected "num/den" with decimal integers')
@@ -75,7 +64,7 @@ def parse_rational(text: str) -> Rational:
     den = _to_int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise PreconditionError(f"zero denominator in {text!r}")
-    return Rational(num, den)
+    return Fraction(num, den)
 
 
 _NATURAL_RE = re.compile(r"[0-9]+")
@@ -156,6 +145,11 @@ def require_residues(name: str, n: int) -> int:
     return n
 
 
+def int_str_limit() -> int:
+    """Python's int-to-str digit limit, or 0 where none applies (disabled, or before Python 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def modulus_list(values) -> tuple[int, ...]:
     """The moduli p_1..p_l as a tuple; they must be nonempty, distinct integers >= 2."""
     values = tuple(values)
@@ -184,8 +178,9 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 _TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
 
-# Cap on the f-steps of Brent's method in one `factorize` call: about 8x the
-# most that a product of two primes below 2**32 has needed.
+# Cap on the f-steps of Brent's method in one `factorize` call, each weighted by
+# the square of the cofactor's 64-bit word count: about 8x the most that a
+# product of two primes below 2**32 has needed.
 MAX_RHO_STEPS = 1 << 21
 
 # Below this bound the fixed Miller-Rabin base set is a deterministic test.
@@ -307,11 +302,11 @@ def _brent_cycle(n: int, c: int, budget: int) -> tuple[int, int]:
 
 
 def _spend(budget: int, steps: int, n: int) -> int:
-    budget -= steps
+    budget -= steps * ((n.bit_length() + 63) >> 6) ** 2
     if budget < 0:
         raise PreconditionError(
             f"factoring a {n.bit_length()}-bit cofactor exceeds MAX_RHO_STEPS = {MAX_RHO_STEPS}, "
-            "the cap on steps of Brent's method in one factorization"
+            "the cap on weighted steps of Brent's method in one factorization"
         )
     return budget
 
@@ -347,7 +342,7 @@ def _factor_hard(n: int, out: dict):
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as a sorted list of (prime, exponent) pairs.
 
-    Raises PreconditionError past MAX_RHO_STEPS steps of Brent's method."""
+    Raises PreconditionError past MAX_RHO_STEPS weighted steps of Brent's method."""
     require("n", n, 1)
     out: dict[int, int] = {}
     m = n

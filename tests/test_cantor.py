@@ -6,6 +6,7 @@ import pytest
 
 from qadic.cantor import DigitCantorSet, Gap
 from qadic.certificates import make_certificate, verify_certificate
+from qadic.expansion import shift_digits
 from qadic.rational import PreconditionError
 
 K32_02 = DigitCantorSet(3, (0, 2))
@@ -88,10 +89,15 @@ def test_contains_uses_alternate_form():
     assert not K3_01.contains(Fraction(2, 3))
 
 
+def _shift_in_gap(K, x, n):
+    # the verifier's test: q**n * x mod 1 lies strictly inside the largest gap
+    return shift_digits(x, K.base, n) in K.largest_gap
+
+
 def test_shift_hits_gap_frozen():
-    assert K32_02.shift_hits_gap(Fraction(1, 2), 0)
-    assert not K32_02.shift_hits_gap(Fraction(1, 3), 0)
-    assert K3_01.shift_hits_gap(Fraction(7, 8), 0)
+    assert _shift_in_gap(K32_02, Fraction(1, 2), 0)
+    assert not _shift_in_gap(K32_02, Fraction(1, 3), 0)
+    assert _shift_in_gap(K3_01, Fraction(7, 8), 0)
 
 
 def _sample(count, den_max, seed):
@@ -107,7 +113,7 @@ def _sample(count, den_max, seed):
 def test_shift_into_gap_implies_exclusion(K):
     for x in _sample(200, 2000, 31):
         for n in range(21):
-            if x < 1 and K.shift_hits_gap(x, n):
+            if x < 1 and _shift_in_gap(K, x, n):
                 assert not K.contains(x)
                 break
 

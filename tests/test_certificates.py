@@ -239,9 +239,28 @@ def test_verify_propagates_internal_faults(monkeypatch):
     def planted(*args):
         raise RuntimeError("planted fault")
 
-    monkeypatch.setattr("qadic.certificates.shift_digits", planted)
+    monkeypatch.setattr("qadic.certificates.DigitCantorSet", planted)
     with pytest.raises(RuntimeError, match="planted fault"):
         verify_certificate(data)
+
+
+def test_verify_shares_no_shift_code_with_the_certifier(monkeypatch):
+    good = make_certificate(1, K3_01, (2,), (9,)).to_dict()
+    tampered = dict(good, exponent=str(int(good["exponent"]) + 1))
+    cert = make_certificate(1, K3_02, (2,), (9,))
+
+    def planted(*args):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr("qadic.certificates.shift_digits", planted)
+    monkeypatch.setattr("qadic.expansion.shift_digits", planted)
+    assert verify_certificate(good)
+    assert not verify_certificate(tampered)
+    assert verify_certificate(cert)
+    # a negative value or exponent, which no JSON certificate can carry; with
+    # the gap (1/3, 2/3), the residue of each would land inside it
+    assert not verify_certificate(dataclasses.replace(cert, value=-cert.value))
+    assert not verify_certificate(dataclasses.replace(cert, exponent=-1))
 
 
 def test_witness_inputs_checked_on_a_cache_hit():

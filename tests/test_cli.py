@@ -114,16 +114,35 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: RuntimeError")
 
 
-def test_unprintable_result_is_internal_error(capsys, tmp_path):
-    # b for p=101, q=3 has more than 4300 digits, past the int-to-str limit of json.dumps
+def test_unprintable_stabilization_fails_fast(capsys, tmp_path):
+    # b for p=101, q=3 has more than 4300 digits, past the int-to-str limit of
+    # json.dumps; for p=999983 and q=10 or 2, ord(q mod p**2) is above 10**11,
+    # and the error comes before q**ord is built
     out_path = tmp_path / "stab.json"
-    for extra in ((), ("--out", str(out_path))):
-        code, out, err = run_cli(capsys, "stabilize", "--p", "101", "--q", "3", *extra)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("internal error: ValueError")
-        assert err.count("\n") == 1
+    for p, q in (("101", "3"), ("999983", "10"), ("999983", "2")):
+        for extra in ((), ("--out", str(out_path))):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "stabilize", "--p", p, "--q", q, *extra)
+            assert time.perf_counter() - start < 1
+            assert code == 2
+            assert out == ""
+            assert err.startswith("precondition violated:") and "int-to-str limit" in err
+            assert err.count("\n") == 1
     assert not out_path.exists()
+
+
+def test_stabilization_without_int_str_limit(capsys):
+    # with the limit disabled, b for p=101, q=3 prints in full
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        code, out, _ = run_cli(capsys, "stabilize", "--p", "101", "--q", "3")
+        data = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 0
+    assert (data["k0"], data["order"]) == (2, 10100)
+    assert data["b"] * 101**2 == 3**10100 - 1
 
 
 def test_csv_limited_to_tables(capsys):
@@ -322,14 +341,18 @@ def test_residue_tables_fail_fast(capsys, argv):
 
 def test_factorization_budget_fails_fast(capsys):
     # 2**128 + 1 = 59649589127497217 * 5704689200685129054721: Brent's method
-    # would need about 2 * 10**8 steps to find the smaller factor; the cap of
-    # 2**21 steps stops it in about 1.5 s on a 2-vCPU x86-64 host
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "order", "--a", "2", "--m", str(2**128 + 1))
-    assert time.perf_counter() - start < 6
-    assert code == 2
-    assert out == ""
-    assert err.startswith("precondition violated:") and "MAX_RHO_STEPS" in err
+    # would need about 2 * 10**8 steps to find the smaller factor.  The
+    # 3278-bit product of the Mersenne primes 2**61 - 1 and 2**3217 - 1 needs
+    # about 2**30, each on 52 words.  Steps weighted by the square of the word
+    # count stop each in about 0.15 s on a 2-vCPU x86-64 host; unweighted
+    # steps took 1.4 s and 128 s.
+    for a, m in ((2, 2**128 + 1), (3, (2**61 - 1) * (2**3217 - 1))):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "order", "--a", str(a), "--m", str(m))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("precondition violated:") and "MAX_RHO_STEPS" in err
 
 
 def test_console_script_installed(tmp_path):

@@ -9,11 +9,8 @@ from qadic import expansion
 from qadic.expansion import (
     ExpansionQ,
     alternate_expansion,
-    blocks_present,
-    digit_at,
     digit_set,
     expand,
-    is_finite_expansion,
     shift_digits,
 )
 from qadic.orders import mult_order
@@ -54,30 +51,10 @@ def test_expansion_validation():
     assert ExpansionQ(3, (), (2,)).value() == 1
 
 
-def test_digit_at_frozen():
-    assert digit_at(Fraction(1, 4), 3, 2) == 2
-    assert digit_at(Fraction(0), 5, 17) == 0
-    assert digit_at(Fraction(1, 6), 10, 5) == 6
-    with pytest.raises(PreconditionError):
-        digit_at(Fraction(1, 4), 3, 0)
-
-
-def test_is_finite_expansion_frozen():
-    assert is_finite_expansion(Fraction(3, 8), 2)
-    assert is_finite_expansion(Fraction(0), 5)
-    assert not is_finite_expansion(Fraction(1, 3), 2)
-
-
 def test_digit_set_frozen():
     assert digit_set(Fraction(1, 4), 3) == {0, 2}
     assert digit_set(Fraction(0), 9) == {0}
     assert digit_set(Fraction(1, 2), 3) == {1}
-
-
-def test_blocks_present_frozen():
-    assert blocks_present(Fraction(1, 4), 3, 2) == {(0, 2), (2, 0)}
-    assert blocks_present(Fraction(0), 4, 3) == {(0, 0, 0)}
-    assert blocks_present(Fraction(1, 8), 3, 2) == {(0, 1), (1, 0)}
 
 
 def test_alternate_expansion_frozen():
@@ -217,14 +194,6 @@ def test_minimality_matches_divisor_loop():
             _check_minimality((1 - period[0],) + period[1:])
 
 
-def test_digit_at_matches_unrolled():
-    for x, q in _random_sample(40, 500, 916):
-        e = expand(x, q)
-        unrolled = e.prefix(200)
-        for i in range(1, 201):
-            assert digit_at(x, q, i) == unrolled[i - 1]
-
-
 def test_alternate_expansion_same_value():
     for x, q in _random_sample(300, 3000, 917):
         if x == 0:
@@ -233,11 +202,6 @@ def test_alternate_expansion_same_value():
         if alt is not None:
             assert alt.value() == x
             assert alt.period == (q - 1,)
-
-
-def test_finite_expansion_iff_period_zero():
-    for x, q in _random_sample(300, 3000, 918):
-        assert is_finite_expansion(x, q) == (expand(x, q).period == (0,))
 
 
 def test_shift_digits_small_cases():
