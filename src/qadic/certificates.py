@@ -30,6 +30,8 @@ from qadic.rational import (
     require_coprime,
     require_digits,
     require_field,
+    require_rational,
+    split_coprime_part,
     valuation,
 )
 
@@ -49,9 +51,13 @@ __all__ = [
 def _witness_base(q: int, t: int, primes: tuple[int, ...], h: int):
     """Shared data behind every witness for (q, t, primes, h).
 
-    Writes q**n0 - 1 = a * t * prod(p_j**r_j) with every r_j >= h+1 and no p_j
-    dividing a, entirely through modular arithmetic (q**n0 itself is never
-    materialized), and returns (b, k0, r_list, n0) where b = a mod (prod p)^h.
+    Writes q**n0 - 1 = a * t * prod(p_j**r_j) with no p_j dividing a, entirely
+    through modular arithmetic (q**n0 itself is never materialized), and
+    returns (b, k0, r_list, n0) where b = a mod (prod p)^h.  Every modulus
+    holds h+1 copies of itself; each prime r of the moduli is lifted once to
+    find the surplus of v_r(q**n0 - 1) past v_r(t * (prod p)**(h+1)), which
+    the moduli then take in the order given, each as many whole copies of
+    itself as are left.  Of moduli sharing a prime, the earlier gets the excess.
     The callers check primes with modulus_list before the lookup: the cache
     key would equate an entry 3.0 with 3.
     """
@@ -62,35 +68,20 @@ def _witness_base(q: int, t: int, primes: tuple[int, ...], h: int):
     require_coprime(q, t * P, "q must be coprime to t times the moduli")
     n0 = euler_phi(t * P ** (h + 1))
     support = {p: dict(factorize(p)) for p in primes}
-    t_val = {r: valuation(t, r) for p in primes for r in support[p]}
-    p_val = {r: sum(support[p].get(r, 0) for p in primes) for r in t_val}
-    avail = {}
-    for r in t_val:
-        e = t_val[r] + (h + 1) * p_val[r]
+    surplus = {}
+    for r in {r for p in primes for r in support[p]}:
+        e = base = valuation(t, r) + (h + 1) * valuation(P, r)
         while pow(q, n0, r ** (e + 1)) == 1:
             e += 1
-        avail[r] = e - t_val[r]
-    r_list = [0] * len(primes)
-    for j, p in enumerate(primes):
-        reserved = {r: (h + 1) * sum(support[p2].get(r, 0) for p2 in primes[j + 1 :]) for r in support[p]}
-        r_j = min((avail[r] - reserved[r]) // e for r, e in support[p].items())
-        r_list[j] = r_j
+        surplus[r] = e - base
+    r_list = []
+    for p in primes:
+        take = min(surplus[r] // e for r, e in support[p].items())
+        r_list.append(h + 1 + take)
         for r, e in support[p].items():
-            avail[r] -= r_j * e
-    changed = True
-    while changed:
-        changed = False
-        for j in reversed(range(len(primes))):
-            vj = support[primes[j]]
-            while all(avail[r] >= e for r, e in vj.items()):
-                r_list[j] += 1
-                for r, e in vj.items():
-                    avail[r] -= e
-                changed = True
-    for j, p in enumerate(primes):
-        if r_list[j] < h + 1:
-            raise RuntimeError(f"internal: exponent r_{j} = {r_list[j]} below h+1 for modulus {p}")
-        if all(avail[r] >= e for r, e in support[p].items()):
+            surplus[r] -= take * e
+    for p in primes:
+        if all(surplus[r] >= e for r, e in support[p].items()):
             raise RuntimeError(f"internal: cofactor still divisible by modulus {p}")
     D = t * math.prod(p ** r for p, r in zip(primes, r_list))
     Ph = P**h
@@ -166,15 +157,10 @@ def _reduce_value(alpha: Fraction, q: int, P: int) -> tuple[int, int, int]:
     """Minimal r making the numerator coprime to P and the denominator to q.
 
     Returns (r, s_hat, t_hat) with alpha * q**r / P**r = s_hat / t_hat in
-    lowest terms."""
-    s, t = alpha.numerator, alpha.denominator
-    r = 0
-    while True:
-        s_red = s // math.gcd(s, P**r)
-        t_red = t // math.gcd(t, q**r)
-        if math.gcd(s_red, P) == 1 and math.gcd(t_red, q) == 1:
-            break
-        r += 1
+    lowest terms.  Since gcd(s, t) = 1 and gcd(q, P) = 1, P**r can only
+    cancel against s and q**r only against t, so r is the larger of the two
+    minimal exponents split_coprime_part finds."""
+    r = max(split_coprime_part(alpha.numerator, P)[2], split_coprime_part(alpha.denominator, q)[2])
     reduced = alpha * Fraction(q**r, P**r)
     return r, reduced.numerator, reduced.denominator
 
@@ -232,15 +218,13 @@ def exclusion_bound(alpha, K: DigitCantorSet, primes, scan_empirical: bool = Tru
     q = K.base
     P = math.prod(primes)
     require_coprime(q, P, "q must be coprime to the moduli")
-    alpha = Fraction(alpha)
+    alpha = require_rational("alpha", alpha)
     if alpha <= 0:
         raise PreconditionError(f"alpha = {alpha}; need alpha > 0")
     r, s_hat, t_hat = _reduce_value(alpha, q, P)
     gap = K.largest_gap
     g = gap.length
-    h = 1
-    while (1 << h) * g.numerator <= g.denominator:
-        h += 1
+    h = (g.denominator // g.numerator).bit_length()  # least h with 2**h > floor(1/g), so 2**h > 1/g
     b, k0, _, _ = _witness_base(q, t_hat, primes, h)
     shared = math.gcd(b, P**h)
     b_hat = b // shared
@@ -323,6 +307,7 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     exponent with more decimal digits than Python's int-to-str limit
     (sys.get_int_max_str_digits(), 0 meaning none) could be neither written
     nor read back, so it raises PreconditionError before any shift is done."""
+    alpha = require_rational("alpha", alpha)
     primes = modulus_list(primes)
     k_tuple = tuple(k_tuple)
     if len(k_tuple) != len(primes):
@@ -334,7 +319,7 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     P = math.prod(primes)
     r = bound.reduction_r
     h = bound.h
-    _, s_hat, t_hat = _reduce_value(Fraction(alpha), q, P)
+    _, s_hat, t_hat = _reduce_value(alpha, q, P)
     b, k0, r_list, n0 = _witness_base(q, t_hat, primes, h)
     n = n0 * math.prod(p ** (k - r - h - rj) for p, k, rj in zip(primes, k_tuple, r_list))
     i_m = bound.m * pow(s_hat * bound.b_hat, -1, bound.p_hat) % bound.p_hat
@@ -347,7 +332,7 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
             f"certificate exponent has more than {limit} decimal digits, "
             "the int-to-str limit (sys.get_int_max_str_digits())"
         )
-    value = Fraction(alpha) / math.prod(p**k for p, k in zip(primes, k_tuple))
+    value = alpha / math.prod(p**k for p, k in zip(primes, k_tuple))
     residue = shift_digits(value, q, exponent)
     expected = Fraction(s_hat, t_hat * math.prod(p ** (k - r) for p, k in zip(primes, k_tuple))) + Fraction(
         bound.m, bound.p_hat

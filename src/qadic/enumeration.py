@@ -22,10 +22,10 @@ from qadic.rational import (
     MAX_RESIDUES,
     PreconditionError,
     format_rational,
-    integer_root,
     modulus_list,
     require,
     require_coprime,
+    require_rational,
     require_residues,
     split_coprime_part,
 )
@@ -68,11 +68,16 @@ class ExceptionalReport:
         }
 
 
-def _check_scale(alpha: Fraction, ratio: Fraction | None):
+def _check_scale(alpha, ratio=None) -> tuple[Fraction, Fraction | None]:
+    """alpha and ratio as Fractions, with alpha > 0 and 0 < ratio < 1 (ratio None skips it)."""
+    alpha = require_rational("alpha", alpha)
     if alpha <= 0:
         raise PreconditionError(f"alpha = {alpha}; need alpha > 0")
-    if ratio is not None and not 0 < ratio < 1:
-        raise PreconditionError(f"ratio = {ratio}; need 0 < ratio < 1")
+    if ratio is not None:
+        ratio = require_rational("ratio", ratio)
+        if not 0 < ratio < 1:
+            raise PreconditionError(f"ratio = {ratio}; need 0 < ratio < 1")
+    return alpha, ratio
 
 
 def _geo_point(alpha, ratio, K, k):
@@ -87,8 +92,7 @@ def _lattice_point(alpha, primes, K, k_tuple):
 
 def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[int, Fraction, bool]]:
     """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member)."""
-    alpha, ratio = Fraction(alpha), Fraction(ratio)
-    _check_scale(alpha, ratio)
+    alpha, ratio = _check_scale(alpha, ratio)
     require("k_max", k_max, 0)
     return _par.pmap(functools.partial(_geo_point, alpha, ratio, K), list(range(k_max + 1)))
 
@@ -99,7 +103,6 @@ def exceptional_geometric(alpha, ratio, K: DigitCantorSet, k_max: int) -> Except
 
     When every prime of the ratio's denominator divides the base the finite-set
     hypothesis fails (the set may be infinite) and the report says so."""
-    alpha, ratio = Fraction(alpha), Fraction(ratio)
     rows = geometric_rows(alpha, ratio, K, k_max)
     members = tuple(k for k, _, member in rows if member)
     t = ratio.denominator
@@ -119,8 +122,7 @@ def exceptional_geometric(alpha, ratio, K: DigitCantorSet, k_max: int) -> Except
 
 def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple[int, ...], Fraction, bool]]:
     """Evaluate alpha / prod(p_j**k_j) over [0, box]^l in lexicographic order."""
-    alpha = Fraction(alpha)
-    _check_scale(alpha, None)
+    alpha, _ = _check_scale(alpha)
     primes = modulus_list(primes)
     require("box", box, 0)
     k_tuples = list(itertools.product(range(box + 1), repeat=len(primes)))
@@ -130,7 +132,6 @@ def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple
 def exceptional_lattice(alpha, primes, K: DigitCantorSet, box: int) -> ExceptionalReport:
     """All tuples in [0, box]^l whose scaled value lies in K, with a certified
     tail covering [k_alpha, inf)^l when the moduli are coprime to the base."""
-    alpha = Fraction(alpha)
     rows = lattice_rows(alpha, primes, K, box)
     primes = tuple(primes)
     members = tuple(k_tuple for k_tuple, _, member in rows if member)
@@ -254,8 +255,7 @@ def all_digits_onset(alpha, ratio, q: int, k_max: int) -> int | None:
     within the bound).  Indices whose value exceeds or reaches 1 count as not
     full."""
     require("q", q, 3)
-    alpha, ratio = Fraction(alpha), Fraction(ratio)
-    _check_scale(alpha, ratio)
+    alpha, ratio = _check_scale(alpha, ratio)
     require("k_max", k_max, 0)
     every = set(range(q))
     last_bad = -1
@@ -279,24 +279,22 @@ def euclid_witness(q: int, k: int) -> tuple[Fraction, ExpansionQ, bool]:
     return x, e, ok
 
 
-def _primitive_power(n: int) -> tuple[int, int]:
-    """Smallest base m with n = m**e, e maximal."""
-    for e in range(n.bit_length(), 1, -1):
-        m = integer_root(n, e)
-        if m**e == n:
-            return m, e
-    return n, 1
-
-
 def mult_dependence(p: int, q: int) -> tuple[int, int] | None:
     """Minimal (a, b) with p**a == q**b, or None if no power coincidence exists.
 
-    Existence is equivalent to log p / log q being rational."""
+    Existence is equivalent to log p / log q being rational.  Euclid's
+    algorithm on (log p, log q) by exact division: of x = p**ax * q**bx and
+    y = p**ay * q**by, the larger is divided by the smaller.  A remainder
+    means no dependence; x == y gives p**(ax-ay) == q**(by-bx), primitive
+    since the two exponent vectors stay a basis of Z**2."""
     require("p", p, 2)
     require("q", q, 2)
-    base_p, e_p = _primitive_power(p)
-    base_q, e_q = _primitive_power(q)
-    if base_p != base_q:
-        return None
-    g = math.gcd(e_p, e_q)
-    return e_q // g, e_p // g
+    x, ax, bx = p, 1, 0
+    y, ay, by = q, 0, 1
+    while x != y:
+        if x < y:
+            x, ax, bx, y, ay, by = y, ay, by, x, ax, bx
+        if x % y:
+            return None
+        x, ax, bx = x // y, ax - ay, bx - by
+    return abs(ax - ay), abs(by - bx)

@@ -1,7 +1,7 @@
 """Exact parsing and formatting of rationals, the elementary number theory
 used everywhere else, and the precondition checks every module shares
-(`require`, `require_coprime`, `require_digits`, `require_field`,
-`modulus_list`, `parse_natural`, `int_str_limit`).
+(`require`, `require_rational`, `require_coprime`, `require_digits`,
+`require_field`, `modulus_list`, `parse_natural`, `int_str_limit`).
 
 Integers are plain Python ints (arbitrary precision, always exact); rationals
 are `fractions.Fraction` values, kept in lowest terms by construction.
@@ -31,6 +31,7 @@ __all__ = [
     "parse_natural",
     "format_rational",
     "require",
+    "require_rational",
     "require_coprime",
     "require_digits",
     "require_field",
@@ -44,7 +45,6 @@ __all__ = [
     "euler_phi",
     "split_coprime_part",
     "valuation",
-    "integer_root",
 ]
 
 
@@ -95,6 +95,13 @@ def require(name: str, value: int, minimum: int):
         raise PreconditionError(f"{name} = {value!r} is not an integer")
     if value < minimum:
         raise PreconditionError(f"{name} = {value}; need {name} >= {minimum}")
+
+
+def require_rational(name: str, value) -> Fraction:
+    """value as a Fraction; it must be a plain int (a bool is not one) or a Fraction."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise PreconditionError(f"{name} = {value!r} is not an int or a Fraction")
+    return Fraction(value)
 
 
 def require_coprime(a: int, m: int, what: str):
@@ -397,16 +404,3 @@ def valuation(n: int, p: int) -> int:
         e += 1
     return e
 
-
-def integer_root(n: int, k: int) -> int:
-    """Floor of the k-th root of n, exactly."""
-    require("n", n, 0)
-    require("k", k, 1)
-    if n < 2 or k == 1:
-        return n
-    x = 1 << ((n.bit_length() - 1) // k + 1)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y

@@ -22,7 +22,7 @@ from qadic.orders import (
     order_of_prime_power,
     order_stabilization,
 )
-from qadic.rational import factorize, split_coprime_part
+from qadic.rational import split_coprime_part
 
 K3_01 = DigitCantorSet(3, (0, 1))
 K3_02 = DigitCantorSet(3, (0, 2))

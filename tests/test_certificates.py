@@ -8,6 +8,7 @@ import pytest
 from qadic.cantor import DigitCantorSet, Gap
 from qadic.certificates import (
     CongruenceWitness,
+    _witness_base,
     ExclusionCertificate,
     certificate_from_dict,
     congruence_witness,
@@ -53,6 +54,18 @@ def test_witness_composite_moduli():
     w = congruence_witness(3, 5, (2, 10), 1, (6, 6))
     assert w.check()
     assert all(w.b % p != 0 for p in w.primes)
+    # moduli sharing primes: h+1 copies each, then the surplus in list order
+    for q, t, primes, h, r_list, b, k0, exponent in (
+        (3, 5, (2, 10), 1, (5, 2), 1, 6, 16000000),
+        (7, 1, (4, 6), 2, (4, 3), 338, 5, 663552),
+        (13, 9, (10, 4), 1, (2, 4), 39, 5, 15360000),
+        (43, 1, (2, 4, 8), 1, (3, 2, 2), 35, 4, 4194304),
+        (7, 25, (6, 12, 18), 3, (4, 4, 4), 1764942496, 5, 24374389600419840),
+    ):
+        assert _witness_base(q, t, primes, h)[2] == r_list
+        w = congruence_witness(q, t, primes, h, (k0,) * len(primes))
+        assert (w.b, w.k0, w.exponent) == (b, k0, exponent)
+        assert w.check()
 
 
 def test_witness_soundness_sweep():
@@ -84,6 +97,11 @@ def test_exclusion_bound_frozen():
     assert (bd.k_alpha, bd.reduction_r, bd.empirical_k) == (9, 0, 3)
     bd = exclusion_bound(1, K3_01, (2,))
     assert (bd.h, bd.p_hat, bd.m, bd.k_alpha, bd.empirical_k) == (2, 4, 3, 9, 4)
+    # r > 0: 9 = 3**2 against q = 3; then 12 against 6 and 25 against 5, both needing 2
+    bd = exclusion_bound(Fraction(4, 9), K3_01, (2,))
+    assert (bd.reduction_r, bd.h, bd.k_alpha, bd.empirical_k) == (2, 2, 11, 6)
+    bd = exclusion_bound(Fraction(12, 25), DigitCantorSet(5, (0, 2, 4)), (6,), scan_empirical=False)
+    assert (bd.reduction_r, bd.h, bd.k_alpha) == (2, 3, 13)
 
 
 def test_exclusion_bound_rejects_modulus_sharing_base():

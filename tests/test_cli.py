@@ -52,6 +52,19 @@ def test_deps_and_euclid(capsys):
     assert (doc["x"], doc["period"], doc["check"]) == ("3/8", [1, 0], True)
 
 
+def test_deps_fails_fast(capsys):
+    # a search for perfect powers took 24-45 s on 4000-digit inputs;
+    # Euclid's algorithm by exact division stops at the first remainder
+    for p, q, expected in (
+        (10**4000 + 1, 10**3999 + 7, {"dependent": False, "a": None, "b": None}),
+        (3**8000, 3**4001, {"dependent": True, "a": 4001, "b": 8000}),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "deps", "--p", str(p), "--q", str(q))
+        assert time.perf_counter() - start < 1
+        assert (code, json.loads(out), err) == (0, expected, "")
+
+
 def test_certify_verify_round_trip(tmp_path):
     cert_path = tmp_path / "cert.json"
     result = run_proc(

@@ -15,7 +15,7 @@ from qadic.orders import (
     order_stabilization,
     product_stabilization,
 )
-from qadic.rational import PreconditionError, euler_phi, factorize, is_prime
+from qadic.rational import PreconditionError, euler_phi, factorize
 
 
 def _brute_order(a, m):

@@ -9,7 +9,13 @@ from hypothesis import example, given, strategies
 from qadic import rational
 from qadic.cantor import DigitCantorSet
 from qadic.certificates import congruence_witness, exclusion_bound, make_certificate
-from qadic.enumeration import lattice_rows
+from qadic.enumeration import (
+    all_digits_onset,
+    exceptional_geometric,
+    exceptional_lattice,
+    geometric_rows,
+    lattice_rows,
+)
 from qadic.orders import product_stabilization
 from qadic.rational import (
     MAX_RESIDUES,
@@ -18,7 +24,6 @@ from qadic.rational import (
     euler_phi,
     factorize,
     format_rational,
-    integer_root,
     is_prime,
     parse_natural,
     parse_rational,
@@ -184,16 +189,6 @@ def test_valuation():
     assert valuation(7, 5) == 0
 
 
-def test_integer_root():
-    assert integer_root(64, 3) == 4
-    assert integer_root(63, 3) == 3
-    assert integer_root(10**30, 5) == 10**6
-    for n in range(1, 200):
-        for k in (2, 3, 5):
-            r = integer_root(n, k)
-            assert r**k <= n < (r + 1) ** k
-
-
 def test_parse_and_format_round_trip():
     assert parse_rational("1/8") == Fraction(1, 8)
     assert parse_rational("5") == 5
@@ -220,6 +215,32 @@ MODULUS_LIST_ENTRY_POINTS = {
 def test_every_modulus_list_entry_point_rejects_bad_lists(entry, primes):
     with pytest.raises(PreconditionError, match="modulus"):
         MODULUS_LIST_ENTRY_POINTS[entry](primes)
+
+
+RATIONAL_ENTRY_POINTS = {
+    "exclusion_bound": lambda alpha, ratio: exclusion_bound(alpha, K5, (2,)),
+    "make_certificate": lambda alpha, ratio: make_certificate(alpha, K5, (2,), (40,)),
+    "lattice_rows": lambda alpha, ratio: lattice_rows(alpha, (2,), K5, 2),
+    "exceptional_lattice": lambda alpha, ratio: exceptional_lattice(alpha, (2,), K5, 2),
+    "geometric_rows": lambda alpha, ratio: geometric_rows(alpha, ratio, K5, 2),
+    "exceptional_geometric": lambda alpha, ratio: exceptional_geometric(alpha, ratio, K5, 2),
+    "all_digits_onset": lambda alpha, ratio: all_digits_onset(alpha, ratio, 5, 2),
+}
+TAKES_RATIO = {"geometric_rows", "exceptional_geometric", "all_digits_onset"}
+
+
+@pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRY_POINTS))
+def test_every_rational_entry_point_rejects_inexact_values(entry):
+    # a float such as 0.1 is not coerced to 3602879701896397/36028797018963968
+    call = RATIONAL_ENTRY_POINTS[entry]
+    call(1, Fraction(1, 2))
+    call(Fraction(3, 4), Fraction(1, 2))
+    for alpha in (0.1, 1.0, True, "1/2", None):
+        with pytest.raises(PreconditionError, match="^alpha = .* is not an int or a Fraction$"):
+            call(alpha, Fraction(1, 2))
+    for ratio in (0.5, True, "1/2") if entry in TAKES_RATIO else ():
+        with pytest.raises(PreconditionError, match="^ratio = .* is not an int or a Fraction$"):
+            call(1, ratio)
 
 
 def test_require_rejects_bools_floats_and_small_values():
