@@ -18,11 +18,11 @@ from functools import lru_cache
 from qadic.cantor import DigitCantorSet, Gap
 from qadic.expansion import shift_digits
 from qadic.rational import (
+    SMALL_PRIMES,
     PreconditionError,
     euler_phi,
     factorize,
     format_rational,
-    int_str_limit,
     modulus_list,
     parse_natural,
     parse_rational,
@@ -30,6 +30,7 @@ from qadic.rational import (
     require_coprime,
     require_digits,
     require_field,
+    require_printable,
     require_rational,
     split_coprime_part,
     valuation,
@@ -138,7 +139,8 @@ def congruence_witness(q: int, t: int, primes, h: int, k_tuple) -> CongruenceWit
     """Construct and verify the witness for the given exponent tuple.
 
     Every k_j must reach the internal threshold k0 (reported in the error if
-    not); the congruence is rechecked by modular exponentiation before returning."""
+    not), and the exponent must be printable (`require_printable`); the
+    congruence is rechecked by modular exponentiation before returning."""
     primes = modulus_list(primes)
     k_tuple = tuple(k_tuple)
     if len(k_tuple) != len(primes):
@@ -146,7 +148,11 @@ def congruence_witness(q: int, t: int, primes, h: int, k_tuple) -> CongruenceWit
     b, k0, r_list, n0 = _witness_base(q, t, primes, h)
     if any(k < k0 for k in k_tuple):
         raise PreconditionError(f"k_tuple {list(k_tuple)} below the stabilization threshold k0 = {k0}")
+    # p**(k - r) >= 2**((k - r) * (bits(p) - 1)), and n0 >= 1
+    log2_floor = sum((k - r) * (p.bit_length() - 1) for p, k, r in zip(primes, k_tuple, r_list))
+    require_printable("witness exponent", log2_floor=log2_floor)
     exponent = n0 * math.prod(p ** (k - r) for p, k, r in zip(primes, k_tuple, r_list))
+    require_printable("witness exponent", exponent)
     witness = CongruenceWitness(q, t, primes, h, b, k0, k_tuple, exponent)
     if not witness.check():
         raise RuntimeError("internal: constructed witness fails its congruence")
@@ -298,15 +304,45 @@ def certificate_from_dict(data: dict) -> ExclusionCertificate:
     )
 
 
+# Below this many bits a prime-power part of a denominator does not earn its
+# own modular power (certifier and verifier alike).
+_CRT_MIN_BITS = 256
+
+
+def _shift_by_parts(value: Fraction, q: int, n: int, prime_powers) -> Fraction:
+    """shift_digits(value, q, n), with the power split by CRT where that pays.
+
+    prime_powers lists pairs (r, v), r prime, with r**v the exact power of r
+    in value's denominator.  Where two or more of those parts are coprime to q
+    and above _CRT_MIN_BITS bits, each is powered with n reduced mod
+    phi(r**v) = r**(v-1) * (r-1), the rest of the denominator with n itself,
+    and the residues are joined by CRT.  `pow` costs about the cube of the
+    modulus size here, so two halves cost about a quarter of the whole.  One
+    large part gains nothing (its exponent stays as long), so with fewer than
+    two this is shift_digits."""
+    parts = [(r**v, r ** (v - 1) * (r - 1)) for r, v in prime_powers if q % r]
+    parts = [(m, phi) for m, phi in parts if m.bit_length() > _CRT_MIN_BITS]
+    if len(parts) < 2:
+        return shift_digits(value, q, n)
+    num, den = value.numerator, value.denominator
+    modulus = den // math.prod(m for m, _ in parts)
+    x = pow(q, n, modulus)
+    for m, phi in parts:
+        x += modulus * ((pow(q, n % phi, m) - x) * pow(modulus, -1, m) % m)
+        modulus *= m
+    return Fraction(num * x % den, den)
+
+
 def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCertificate:
     """Certificate that alpha / prod(p_j**k_j) is outside K, for k_j >= k_alpha.
 
     Uses the witness for the h-shifted exponents and the modular inverse that
     steers the shifted orbit point onto m/p_hat inside the gap; the exponent
     may be astronomically large, but only its residue behavior matters.  An
-    exponent with more decimal digits than Python's int-to-str limit
-    (sys.get_int_max_str_digits(), 0 meaning none) could be neither written
-    nor read back, so it raises PreconditionError before any shift is done."""
+    exponent past the int-to-str limit raises PreconditionError
+    (`require_printable`), before it is built where a lower bound shows it.
+    The shift splits the denominator by the primes of the moduli
+    (`_shift_by_parts`)."""
     alpha = require_rational("alpha", alpha)
     primes = modulus_list(primes)
     k_tuple = tuple(k_tuple)
@@ -321,19 +357,25 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     h = bound.h
     _, s_hat, t_hat = _reduce_value(alpha, q, P)
     b, k0, r_list, n0 = _witness_base(q, t_hat, primes, h)
+    # exponent >= n >= 2**log2_floor, as p**e >= 2**(e * (bits(p) - 1))
+    log2_floor = sum((k - r - h - rj) * (p.bit_length() - 1) for p, k, rj in zip(primes, k_tuple, r_list))
+    require_printable("certificate exponent", log2_floor=log2_floor)
     n = n0 * math.prod(p ** (k - r - h - rj) for p, k, rj in zip(primes, k_tuple, r_list))
     i_m = bound.m * pow(s_hat * bound.b_hat, -1, bound.p_hat) % bound.p_hat
     if i_m == 0:
         raise RuntimeError("internal: shift index collapsed to zero")
     exponent = r + i_m * n
-    limit = int_str_limit()
-    if limit and exponent >= 10**limit:
-        raise PreconditionError(
-            f"certificate exponent has more than {limit} decimal digits, "
-            "the int-to-str limit (sys.get_int_max_str_digits())"
-        )
+    require_printable("certificate exponent", exponent)
     value = alpha / math.prod(p**k for p, k in zip(primes, k_tuple))
-    residue = shift_digits(value, q, exponent)
+    # value = s_hat / (t_hat * q**r * prod(p_j**(k_j - r))) with s_hat coprime
+    # to every p_j, so each prime f of the moduli divides its denominator
+    # v_f(t_hat) + sum_j (k_j - r) * v_f(p_j) times
+    support = [dict(factorize(p)) for p in primes]
+    prime_powers = [
+        (f, valuation(t_hat, f) + sum((k - r) * fs.get(f, 0) for fs, k in zip(support, k_tuple)))
+        for f in set().union(*support)
+    ]
+    residue = _shift_by_parts(value, q, exponent, prime_powers)
     expected = Fraction(s_hat, t_hat * math.prod(p ** (k - r) for p, k in zip(primes, k_tuple))) + Fraction(
         bound.m, bound.p_hat
     )
@@ -342,14 +384,43 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     return ExclusionCertificate(value, q, K.digits, exponent, residue, bound.gap)
 
 
+def _power_mod_den(q: int, e: int, den: int) -> int:
+    """pow(q, e, den), split by CRT from den alone; the verifier's own code.
+
+    Each prime r below 2**10 that divides den but not q gives the exact part
+    r**v of den as gcd(den, r**E), for a power r**E past den.  With two or
+    more parts above _CRT_MIN_BITS bits, each is powered with e reduced mod
+    r**(v-1) * (r-1) and the rest of den with e itself, and the results are
+    joined by CRT.  The rest may hold any primes: nothing is factored, so
+    the split is exact whatever den is."""
+    parts = []
+    if den.bit_length() > 2 * _CRT_MIN_BITS:
+        for r in SMALL_PRIMES:
+            if den % r == 0 and q % r:
+                part = math.gcd(den, r ** (den.bit_length() // (r.bit_length() - 1) + 1))
+                if part.bit_length() > _CRT_MIN_BITS:
+                    parts.append((part, part // r * (r - 1)))
+    if len(parts) < 2:
+        return pow(q, e, den)
+    modulus = den
+    for part, _ in parts:
+        modulus //= part
+    x = pow(q, e, modulus)
+    for part, phi in parts:
+        x += modulus * ((pow(q, e % phi, part) - x) * pow(modulus, -1, part) % part)
+        modulus *= part
+    return x
+
+
 def verify_certificate(cert) -> bool:
     """True iff the residue recomputed from (value, exponent) lies strictly in the
     largest gap recomputed from (base, digits).
 
-    The residue is one modular power here, not the certifier's shift.
-    Malformed input (anything that raises PreconditionError, or a negative
-    value) returns False; any other exception is a fault and propagates.  A
-    True answer is a sound proof that value is not in the set."""
+    The residue is a modular power computed here (`_power_mod_den`), not by
+    the certifier's shift.  Malformed input (anything that raises
+    PreconditionError, or a negative value) returns False; any other
+    exception is a fault and propagates.  A True answer is a sound proof that
+    value is not in the set."""
     try:
         if not isinstance(cert, ExclusionCertificate):
             cert = certificate_from_dict(cert)
@@ -358,6 +429,6 @@ def verify_certificate(cert) -> bool:
         if cert.value < 0:
             return False
         num, den = cert.value.numerator, cert.value.denominator
-        return Fraction(num * pow(cert.base, cert.exponent, den) % den, den) in K.largest_gap
+        return Fraction(num * _power_mod_den(cert.base, cert.exponent, den) % den, den) in K.largest_gap
     except PreconditionError:
         return False

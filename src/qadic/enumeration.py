@@ -25,6 +25,7 @@ from qadic.rational import (
     modulus_list,
     require,
     require_coprime,
+    require_printable,
     require_rational,
     require_residues,
     split_coprime_part,
@@ -270,10 +271,18 @@ def all_digits_onset(alpha, ratio, q: int, k_max: int) -> int | None:
 
 def euclid_witness(q: int, k: int) -> tuple[Fraction, ExpansionQ, bool]:
     """x_k = q**k / (q**(k+1) - 1), its expansion, and the check that the
-    expansion is purely periodic with period one 1 followed by k zeros."""
+    expansion is purely periodic with period one 1 followed by k zeros.
+
+    A denominator with more digits than the int-to-str limit, where one
+    applies, could not be printed: it raises PreconditionError, before q**k
+    is built where a lower bound shows it."""
     require("q", q, 3)
     require("k", k, 1)
-    x = Fraction(q**k, q ** (k + 1) - 1)
+    # q**(k+1) - 1 >= 2**((k+1) * (bits(q)-1) - 1)
+    require_printable("euclid denominator q**(k+1) - 1", log2_floor=(k + 1) * (q.bit_length() - 1) - 1)
+    den = q ** (k + 1) - 1
+    require_printable("euclid denominator q**(k+1) - 1", den)
+    x = Fraction(q**k, den)
     e = expand(x, q)
     ok = e.preperiod == () and e.period == (1,) + (0,) * k
     return x, e, ok
@@ -284,9 +293,12 @@ def mult_dependence(p: int, q: int) -> tuple[int, int] | None:
 
     Existence is equivalent to log p / log q being rational.  Euclid's
     algorithm on (log p, log q) by exact division: of x = p**ax * q**bx and
-    y = p**ay * q**by, the larger is divided by the smaller.  A remainder
-    means no dependence; x == y gives p**(ax-ay) == q**(by-bx), primitive
-    since the two exponent vectors stay a basis of Z**2."""
+    y = p**ay * q**by, the larger is divided by the smaller as long as it
+    stays larger.  A remainder means no dependence; x == y gives
+    p**(ax-ay) == q**(by-bx), primitive since the two exponent vectors stay a
+    basis of Z**2.  Each run of divisions takes out the largest y**j with
+    y**j < x and y**j | x by dividing by y, y**2, y**4, ... and then back
+    down, so a power of y costs a logarithmic number of divisions."""
     require("p", p, 2)
     require("q", q, 2)
     x, ax, bx = p, 1, 0
@@ -294,7 +306,22 @@ def mult_dependence(p: int, q: int) -> tuple[int, int] | None:
     while x != y:
         if x < y:
             x, ax, bx, y, ay, by = y, ay, by, x, ax, bx
-        if x % y:
+        powers = []  # y**(2**i) for each i whose division went through on the way up
+        w = y
+        while w < x:
+            d, rest = divmod(x, w)
+            if rest:
+                break
+            x = d
+            powers.append(w)
+            w *= w
+        if not powers:
             return None
-        x, ax, bx = x // y, ax - ay, bx - by
+        j = (1 << len(powers)) - 1
+        for i in reversed(range(len(powers))):
+            d, rest = divmod(x, powers[i])
+            if powers[i] < x and not rest:
+                x = d
+                j += 1 << i
+        ax, bx = ax - j * ay, bx - j * by
     return abs(ax - ay), abs(by - bx)

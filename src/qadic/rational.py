@@ -1,7 +1,8 @@
 """Exact parsing and formatting of rationals, the elementary number theory
 used everywhere else, and the precondition checks every module shares
 (`require`, `require_rational`, `require_coprime`, `require_digits`,
-`require_field`, `modulus_list`, `parse_natural`, `int_str_limit`).
+`require_field`, `modulus_list`, `parse_natural`, `int_str_limit`,
+`require_printable`).
 
 Integers are plain Python ints (arbitrary precision, always exact); rationals
 are `fractions.Fraction` values, kept in lowest terms by construction.
@@ -18,6 +19,7 @@ room for every prime factor but the largest up to roughly 2**36 below 2**64,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -37,8 +39,10 @@ __all__ = [
     "require_field",
     "require_residues",
     "int_str_limit",
+    "require_printable",
     "MAX_RESIDUES",
     "MAX_RHO_STEPS",
+    "SMALL_PRIMES",
     "modulus_list",
     "is_prime",
     "factorize",
@@ -157,6 +161,26 @@ def int_str_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+@functools.lru_cache(maxsize=8)
+def _power_of_ten(n: int) -> int:
+    # 10**4300 takes some 30 us to build, a tenth of a small euclid job
+    return 10**n
+
+
+def require_printable(what: str, value: int = 0, log2_floor: int = 0):
+    """Raise PreconditionError if an integer has more decimal digits than the
+    int-to-str limit, so that it could be neither written nor read back.  A
+    caller that knows value >= 2**log2_floor before building it passes that
+    floor alone, so that nothing far past the limit is ever built."""
+    limit = int_str_limit()
+    if limit:
+        ceiling = _power_of_ten(limit)
+        if value >= ceiling or log2_floor >= ceiling.bit_length():
+            raise PreconditionError(
+                f"{what} has more than {limit} decimal digits, the int-to-str limit (sys.get_int_max_str_digits())"
+            )
+
+
 def modulus_list(values) -> tuple[int, ...]:
     """The moduli p_1..p_l as a tuple; they must be nonempty, distinct integers >= 2."""
     values = tuple(values)
@@ -169,8 +193,8 @@ def modulus_list(values) -> tuple[int, ...]:
     return values
 
 
-# Trial division runs over the primes below _TRIAL_BOUND; Brent's method finds
-# every larger factor. 172 primes, sieved at import in microseconds.
+# Trial division runs over SMALL_PRIMES, the 172 primes below _TRIAL_BOUND,
+# sieved at import in microseconds; Brent's method finds every larger factor.
 _TRIAL_BOUND = 1 << 10
 
 
@@ -183,7 +207,7 @@ def _primes_below(n: int) -> tuple[int, ...]:
     return tuple(itertools.compress(range(n), sieve))
 
 
-_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
 
 # Cap on the f-steps of Brent's method in one `factorize` call, each weighted by
 # the square of the cofactor's 64-bit word count: about 8x the most that a
@@ -353,7 +377,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     require("n", n, 1)
     out: dict[int, int] = {}
     m = n
-    for p in _TRIAL_PRIMES:
+    for p in SMALL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:

@@ -1,13 +1,23 @@
 import dataclasses
+import importlib
+import itertools
 import json
+import math
+import random
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qadic.certificates
 from qadic.cantor import DigitCantorSet, Gap
 from qadic.certificates import (
+    _CRT_MIN_BITS,
     CongruenceWitness,
+    _power_mod_den,
+    _shift_by_parts,
     _witness_base,
     ExclusionCertificate,
     certificate_from_dict,
@@ -16,7 +26,8 @@ from qadic.certificates import (
     make_certificate,
     verify_certificate,
 )
-from qadic.rational import PreconditionError
+from qadic.expansion import shift_digits
+from qadic.rational import PreconditionError, parse_rational
 
 K3_01 = DigitCantorSet(3, (0, 1))
 K3_02 = DigitCantorSet(3, (0, 2))
@@ -272,13 +283,149 @@ def test_verify_shares_no_shift_code_with_the_certifier(monkeypatch):
 
     monkeypatch.setattr("qadic.certificates.shift_digits", planted)
     monkeypatch.setattr("qadic.expansion.shift_digits", planted)
+    # two primes whose parts of the denominator, 2**300 and 5**300, both
+    # exceed the split threshold: the certifier splits, so it never shifts
+    split = make_certificate(1, K3_02, (2, 5), (300, 300))
+    assert split.value.denominator == 2**300 * 5**300
+    split_tampered = dataclasses.replace(split, exponent=split.exponent + 1)
+    monkeypatch.setattr("qadic.certificates._shift_by_parts", planted)
     assert verify_certificate(good)
     assert not verify_certificate(tampered)
     assert verify_certificate(cert)
+    assert verify_certificate(split)
+    assert verify_certificate(split.to_dict())
+    assert not verify_certificate(split_tampered)
     # a negative value or exponent, which no JSON certificate can carry; with
     # the gap (1/3, 2/3), the residue of each would land inside it
     assert not verify_certificate(dataclasses.replace(cert, value=-cert.value))
     assert not verify_certificate(dataclasses.replace(cert, exponent=-1))
+
+
+def _random_modulus(rng, q, n_parts, part_bits):
+    """(den, prime_powers): n_parts prime powers r**v of about part_bits bits
+    each, one of them sharing a prime with q now and then, times a tiny
+    cofactor coprime to them."""
+    primes = rng.sample([2, 3, 5, 7, 11, 13, 997, 1009, 2**61 - 1], n_parts)
+    if rng.random() < 0.3:
+        primes[0] = min(r for r in (2, 3, 5, 7) if q % r == 0)
+        primes = list(dict.fromkeys(primes))
+    prime_powers = [(r, max(1, part_bits // (r.bit_length() - 1) - rng.randint(0, 2))) for r in primes]
+    cofactor = rng.choice([1, 3, 9, 35, 1013 * 1019, rng.randrange(1, 10**6)])
+    while any(cofactor % r == 0 for r in primes):
+        cofactor += 1
+    return math.prod(r**v for r, v in prime_powers) * cofactor, prime_powers
+
+
+def test_split_power_matches_pow():
+    rng = random.Random(12)
+    for _ in range(200):
+        q = rng.choice([2, 3, 4, 5, 6, 7, 10, 12])
+        den, prime_powers = _random_modulus(rng, q, rng.randint(1, 3), rng.randint(8, 600))
+        e = rng.randrange(2 ** rng.randint(1, den.bit_length() + 64))
+        expected = pow(q, e, den)
+        assert _power_mod_den(q, e, den) == expected
+        s = rng.randrange(1, den)
+        while math.gcd(s, den) > 1:
+            s += 1
+        assert _shift_by_parts(Fraction(s, den), q, e, prime_powers) == Fraction(s * expected % den, den)
+
+
+def test_split_threshold(monkeypatch):
+    # 2**255 and 5**110 have _CRT_MIN_BITS = 256 bits, 2**256 and 5**111
+    # more: only two parts both past it give up the single power over den
+    assert _CRT_MIN_BITS == 256
+    moduli, shifts = [], []
+
+    def spy_pow(base, exponent, modulus):
+        moduli.append(modulus)
+        return pow(base, exponent, modulus)
+
+    def spy_shift(x, q, n):
+        shifts.append(x)
+        return shift_digits(x, q, n)
+
+    monkeypatch.setattr(qadic.certificates, "pow", spy_pow, raising=False)
+    monkeypatch.setattr(qadic.certificates, "shift_digits", spy_shift)
+    e = 3**1000 + 1
+    for v2, v5 in itertools.product((255, 256), (110, 111)):
+        for cofactor in (1, 3 * 1013):
+            den = 2**v2 * 5**v5 * cofactor
+            expected = pow(3, e, den)
+            moduli.clear()
+            shifts.clear()
+            assert _power_mod_den(3, e, den) == expected
+            assert _shift_by_parts(Fraction(1, den), 3, e, [(2, v2), (5, v5)]) == Fraction(expected, den)
+            single = v2 == 255 or v5 == 110
+            assert (den in moduli) == single
+            assert len(shifts) == single
+
+
+def _single_power_verdict(cert):
+    """The verifier's answer by one modular power over the whole denominator."""
+    num, den = cert.value.numerator, cert.value.denominator
+    return Fraction(num * pow(cert.base, cert.exponent, den) % den, den) in cert.gap
+
+
+def test_benchmark_pool_certificates_verify_as_by_one_power(monkeypatch):
+    # the certify jobs of the benchmark's first rounds, seeds 1-3, with their
+    # k raised to k_alpha as the runner does; a tampered exponent too
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    jobs = importlib.import_module("jobs")
+    checked = split = 0
+    for seed in (1, 2, 3):
+        rounds = jobs.rounds("certify", seed)
+        for _ in range(2):
+            for job in next(rounds):
+                if job.kind != "certify":
+                    continue
+                p = job.params
+                alpha, K, primes = parse_rational(p["alpha"]), DigitCantorSet(p["q"], tuple(p["A"])), p["primes"]
+                k_alpha = exclusion_bound(alpha, K, primes, scan_empirical=False).k_alpha
+                cert = make_certificate(alpha, K, primes, [max(k_alpha, k) for k in p["k"]])
+                assert verify_certificate(cert) and _single_power_verdict(cert)
+                tampered = dataclasses.replace(cert, exponent=cert.exponent + 1)
+                assert verify_certificate(tampered) == _single_power_verdict(tampered)
+                checked += 1
+                parts = [math.gcd(cert.value.denominator, r**5000) for r in primes]
+                split += len(parts) == 2 and min(parts).bit_length() > _CRT_MIN_BITS
+    assert checked >= 20 and split >= 2
+
+
+def _factor_by_division(n, primes):
+    """[(r, v)] with r**v exactly dividing n, for n made of the given primes."""
+    out = []
+    for r in primes:
+        v = 0
+        while n % r == 0:
+            n //= r
+            v += 1
+        if v:
+            out.append((r, v))
+    assert n == 1
+    return out
+
+
+def test_verify_crafted_4300_digit_denominator_fast():
+    # den has 4300 digits, all from primes below 2**10: one part of about
+    # 330 bits for each prime from 5 to 181, and parts r**1 above.  The
+    # exponent, a multiple of every phi(r**v), fixes the value, so the
+    # residue of the true certificate is the value itself
+    primes = [r for r in range(5, 1024) if all(r % d for d in range(2, r))]
+    den = math.prod(r ** (330 // r.bit_length()) for r in primes[:40])
+    for r in primes[40:]:
+        if den * r < 10**4300:
+            den *= r
+    while den * 5 < 10**4300:
+        den *= 5
+    assert 10**4299 <= den < 10**4300
+    exponent = math.lcm(*(r ** (v - 1) * (r - 1) for r, v in _factor_by_division(den, primes)))
+    value = Fraction(2 * den // 5 + 1, den)
+    assert value.denominator == den and exponent < 10**4300
+    cert = ExclusionCertificate(value, 3, (0, 2), exponent, value, K3_02.largest_gap)
+    for claim, expected in ((cert, True), (dataclasses.replace(cert, exponent=exponent + 1), False)):
+        start = time.perf_counter()
+        assert verify_certificate(claim.to_dict()) is expected
+        assert time.perf_counter() - start < 1
 
 
 def test_witness_inputs_checked_on_a_cache_hit():

@@ -65,6 +65,48 @@ def test_deps_fails_fast(capsys):
         assert (code, json.loads(out), err) == (0, expected, "")
 
 
+def test_witness_exponent_past_int_str_limit_fails_fast(capsys):
+    # n0 * 2**(k - r) with k = 20000 has over 6000 digits; it used to be
+    # built and powered for 18 s before rendering failed with exit 1
+    for k in ("20000", "1000000000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "witness", "--q", "3", "--t", "1", "--primes", "2", "--h", "2", "--k", k)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "witness exponent has more than 4300 decimal digits" in err
+
+
+def test_certify_exponent_past_int_str_limit_fails_fast(capsys):
+    for k in ("20000", "1000000000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "certify", "--alpha", "1", "--q", "3", "--A", "0,1", "--primes", "2", "--k", k)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "certificate exponent has more than 4300 decimal digits" in err
+
+
+def test_euclid_at_the_int_str_limit(capsys):
+    # 3**9012 - 1 has 4300 digits and 3**9013 - 1 has 4301; 10**4300 - 1
+    # has 4300; the check comes before q**k is built
+    for q, k, code_expected in (("3", "9000", 0), ("3", "9011", 0), ("3", "9012", 2), ("10", "4299", 0),
+                                ("10", "4300", 2), ("10", "5000", 2), ("10", "1000000000", 2)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "euclid", "--q", q, "--k", k)
+        assert time.perf_counter() - start < 1
+        assert code == code_expected
+        if code == 2:
+            assert out == "" and "denominator q**(k+1) - 1 has more than 4300 decimal digits" in err
+        else:
+            assert json.loads(out)["check"] is True
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        code, out, _ = run_cli(capsys, "euclid", "--q", "3", "--k", "9012")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 0 and len(json.loads(out)["x"].split("/")[1]) == 4301
+
+
 def test_certify_verify_round_trip(tmp_path):
     cert_path = tmp_path / "cert.json"
     result = run_proc(
