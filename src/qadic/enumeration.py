@@ -41,6 +41,7 @@ __all__ = [
     "all_digits_onset",
     "euclid_witness",
     "mult_dependence",
+    "MAX_POINTS",
 ]
 
 
@@ -81,6 +82,16 @@ def _check_scale(alpha, ratio=None) -> tuple[Fraction, Fraction | None]:
     return alpha, ratio
 
 
+# Most points a geometric or lattice scan evaluates: 10**5, a hundred times
+# the benchmark's largest scan, checked before any point is listed.
+MAX_POINTS = 10**5
+
+
+def _require_points(what: str, n: int):
+    if n > MAX_POINTS:
+        raise PreconditionError(f"{what} gives more than MAX_POINTS = {MAX_POINTS} points")
+
+
 def _geo_point(alpha, ratio, K, k):
     value = alpha * ratio**k
     return k, value, value <= 1 and K.contains(value)
@@ -92,9 +103,12 @@ def _lattice_point(alpha, primes, K, k_tuple):
 
 
 def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[int, Fraction, bool]]:
-    """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member)."""
+    """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member).
+
+    More than MAX_POINTS points raise PreconditionError."""
     alpha, ratio = _check_scale(alpha, ratio)
     require("k_max", k_max, 0)
+    _require_points("k_max", k_max + 1)
     return _par.pmap(functools.partial(_geo_point, alpha, ratio, K), list(range(k_max + 1)))
 
 
@@ -122,10 +136,13 @@ def exceptional_geometric(alpha, ratio, K: DigitCantorSet, k_max: int) -> Except
 
 
 def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple[int, ...], Fraction, bool]]:
-    """Evaluate alpha / prod(p_j**k_j) over [0, box]^l in lexicographic order."""
+    """Evaluate alpha / prod(p_j**k_j) over [0, box]^l in lexicographic order.
+
+    More than MAX_POINTS points raise PreconditionError."""
     alpha, _ = _check_scale(alpha)
     primes = modulus_list(primes)
     require("box", box, 0)
+    _require_points("box", (min(box, MAX_POINTS) + 1) ** len(primes))
     k_tuples = list(itertools.product(range(box + 1), repeat=len(primes)))
     return _par.pmap(functools.partial(_lattice_point, alpha, primes, K), k_tuples)
 

@@ -1,4 +1,5 @@
-"""The digit loops, in pure Python; arbitrary precision, no size limits.
+"""The digit loops, in pure Python; arbitrary precision, and a period list
+capped at rational.MAX_DIGITS digits.
 
 digit_cycle, scan_allowed and digit_mask all walk the long division of
 num/den (0 <= num < den) in the given base: the preperiod, whose length the
@@ -10,6 +11,8 @@ nothing per leading zero.  Integers only: no float enters any bound.
 """
 
 from __future__ import annotations
+
+from qadic.rational import MAX_DIGITS, PreconditionError
 
 
 def backend() -> str:
@@ -24,7 +27,8 @@ def digit_cycle(num, den, base, preperiod_len):
     those digits, then walks the period until the remainder returns to the
     one after them.  If preperiod_len is too small that remainder is not on
     the cycle and the walk never meets it again; if it is too large the
-    period comes out rotated.
+    period comes out rotated.  A period longer than MAX_DIGITS digits raises
+    PreconditionError.
     """
     pre = []
     r = num
@@ -34,12 +38,13 @@ def digit_cycle(num, den, base, preperiod_len):
         pre.append(d)
     sentinel = r
     period = []
-    while True:
+    for _ in range(MAX_DIGITS):
         r *= base
         d, r = divmod(r, den)
         period.append(d)
         if r == sentinel:
             return pre, period
+    raise PreconditionError(f"the period of the expansion is longer than MAX_DIGITS = {MAX_DIGITS} digits")
 
 
 # With L = (base**_LOG_POWER).bit_length(), base**_LOG_POWER < 2**L, so

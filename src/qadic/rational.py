@@ -41,6 +41,7 @@ __all__ = [
     "int_str_limit",
     "require_printable",
     "MAX_RESIDUES",
+    "MAX_DIGITS",
     "MAX_RHO_STEPS",
     "SMALL_PRIMES",
     "modulus_list",
@@ -154,6 +155,11 @@ def require_residues(name: str, n: int) -> int:
     if n > MAX_RESIDUES:
         raise PreconditionError(f"{name} exceeds MAX_RESIDUES = {MAX_RESIDUES}, the cap on one-byte-per-residue tables")
     return n
+
+
+# Longest period a digit walk lists (`kernels.digit_cycle`): a million digits,
+# about 20 times the longest period of the benchmark's expand jobs.
+MAX_DIGITS = 10**6
 
 
 def int_str_limit() -> int:

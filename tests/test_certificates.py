@@ -16,6 +16,7 @@ from qadic.cantor import DigitCantorSet, Gap
 from qadic.certificates import (
     _CRT_MIN_BITS,
     CongruenceWitness,
+    _pow_prime_power,
     _power_mod_den,
     _shift_by_parts,
     _witness_base,
@@ -27,7 +28,7 @@ from qadic.certificates import (
     verify_certificate,
 )
 from qadic.expansion import shift_digits
-from qadic.rational import PreconditionError, parse_rational
+from qadic.rational import SMALL_PRIMES, PreconditionError, parse_rational
 
 K3_01 = DigitCantorSet(3, (0, 1))
 K3_02 = DigitCantorSet(3, (0, 2))
@@ -77,6 +78,23 @@ def test_witness_composite_moduli():
         w = congruence_witness(q, t, primes, h, (k0,) * len(primes))
         assert (w.b, w.k0, w.exponent) == (b, k0, exponent)
         assert w.check()
+
+
+def test_witness_check_by_parts(monkeypatch):
+    # the modulus 5 * 2**(k1 + k2 + 2h) * 5**(k2 + h) has two parts past
+    # _CRT_MIN_BITS, each checked by the kernel; a tampered exponent fails
+    calls = []
+
+    def spy(q, e, r, v):
+        calls.append((r, v))
+        return _pow_prime_power(q, e, r, v)
+
+    w = congruence_witness(3, 5, (2, 10), 1, (200, 200))
+    monkeypatch.setattr(qadic.certificates, "_pow_prime_power", spy)
+    assert w.check()
+    assert sorted(calls) == [(2, 402), (5, 202)]
+    assert not dataclasses.replace(w, exponent=w.exponent + 1).check()
+    assert not dataclasses.replace(w, exponent=w.exponent + w.exponent // 3).check()
 
 
 def test_witness_soundness_sweep():
@@ -289,6 +307,7 @@ def test_verify_shares_no_shift_code_with_the_certifier(monkeypatch):
     assert split.value.denominator == 2**300 * 5**300
     split_tampered = dataclasses.replace(split, exponent=split.exponent + 1)
     monkeypatch.setattr("qadic.certificates._shift_by_parts", planted)
+    monkeypatch.setattr("qadic.certificates._pow_prime_power", planted)
     assert verify_certificate(good)
     assert not verify_certificate(tampered)
     assert verify_certificate(cert)
@@ -330,9 +349,60 @@ def test_split_power_matches_pow():
         assert _shift_by_parts(Fraction(s, den), q, e, prime_powers) == Fraction(s * expected % den, den)
 
 
+def _kernel_cases(rng, r, v):
+    """Exponents for _pow_prime_power at (r, v): 0, 1, one below r**s (the
+    kernel's split, so no series runs), one past it, and one far above r**v."""
+    s = math.isqrt(v // r.bit_length())
+    return [0, 1, rng.randrange(r**s), r**s * rng.randrange(1, 2**32) + rng.randrange(r**s),
+            rng.randrange(r ** (v + 40))]
+
+
+def test_pow_prime_power_matches_pow():
+    # every prime below 2**10, 2 and 3 weighted up, parts of 1 to 4000 bits
+    # (test_pow_prime_power_large_parts goes to 14000); past 1500 bits pow
+    # would take a second or more for the exponent far above r**v, so there
+    # it is left out
+    rng = random.Random(13)
+    weighted = SMALL_PRIMES + (2, 3) * 40
+    checked = 0
+    for i in range(450):
+        r = SMALL_PRIMES[i] if i < len(SMALL_PRIMES) else rng.choice(weighted)
+        v = max(1, int(2 ** rng.uniform(0, math.log2(4000))) // r.bit_length())
+        q = rng.randrange(2, 10**6)
+        while q % r == 0:
+            q += 1
+        cases = _kernel_cases(rng, r, v)
+        for e in cases if (r**v).bit_length() <= 1500 else cases[:-1]:
+            assert _pow_prime_power(q, e, r, v) == pow(q, e, r**v), (q, e, r, v)
+            checked += 1
+    assert checked >= 2000
+
+
+def test_pow_prime_power_large_parts():
+    # parts of up to 3000 and 14000 bits; past 3000 bits the exponent far
+    # above r**v would cost pow seconds, so there it stays below 2**32 * r**s
+    rng = random.Random(14)
+    for r, bits in ((2, 3000), (3, 3000), (7, 3000), (2, 14000), (3, 14000), (13, 14000), (1021, 14000)):
+        v = bits // r.bit_length()
+        cases = _kernel_cases(rng, r, v)
+        for e in cases if bits <= 3000 else cases[:-1]:
+            assert _pow_prime_power(5, e, r, v) == pow(5, e, r**v), (e, r, v)
+
+
+def test_pow_prime_power_deeper_start():
+    # u = q**d lies deeper in 1 + r*Z_r than the kernel assumes: 10**2 - 1 =
+    # 99 has 3**2, and 3**5 = 1 mod 121, so 3**10 - 1 has 11**2
+    rng = random.Random(15)
+    for q, r in ((10, 3), (3, 11)):
+        for v in (1, 2, 3, 4, 7, 50, 300, 1000):
+            for e in _kernel_cases(rng, r, v) + [5, 10, 121, r**v, r ** (v - 1) * (r - 1)]:
+                assert _pow_prime_power(q, e, r, v) == pow(q, e, r**v), (q, e, r, v)
+
+
 def test_split_threshold(monkeypatch):
     # 2**255 and 5**110 have _CRT_MIN_BITS = 256 bits, 2**256 and 5**111
-    # more: only two parts both past it give up the single power over den
+    # more: the verifier gives up the single power over den only for two
+    # parts both past it, the certifier its shift for any one part past it
     assert _CRT_MIN_BITS == 256
     moduli, shifts = [], []
 
@@ -357,7 +427,7 @@ def test_split_threshold(monkeypatch):
             assert _shift_by_parts(Fraction(1, den), 3, e, [(2, v2), (5, v5)]) == Fraction(expected, den)
             single = v2 == 255 or v5 == 110
             assert (den in moduli) == single
-            assert len(shifts) == single
+            assert len(shifts) == (v2 == 255 and v5 == 110)
 
 
 def _single_power_verdict(cert):

@@ -375,6 +375,42 @@ def test_certify_unprintable_exponent_fails_fast(capsys):
     assert err.startswith("precondition violated:") and "int-to-str limit" in err
 
 
+def test_witness_and_certify_at_the_exponent_edge(capsys):
+    # an exponent just under 4300 digits over a 14000-bit power of 2, one
+    # part, so no CRT split: one pow took about 7 s, the 2-adic kernel well
+    # under 1 s; the witness rechecks its congruence, the certifier its residue
+    for argv, key in (
+        (("witness", "--q", "3", "--t", "1", "--primes", "2", "--h", "2", "--k", "14000"), "exponent"),
+        (("certify", "--alpha", "1", "--q", "3", "--A", "0,1", "--primes", "2", "--k", "14000"), "exponent"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert 4200 < len(json.loads(out)[key]) <= 4300
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("expand", "--x", "1/1000000007", "--q", "10"), "MAX_DIGITS = 1000000"),
+        (("expand", "--x", "1/10000019", "--q", "10"), "MAX_DIGITS = 1000000"),
+        (("enumerate", "--alpha", "1", "--q", "3", "--A", "0,1", "--ratio", "1/2", "--k-max", "1000000000"),
+         "MAX_POINTS = 100000"),
+        (("enumerate", "--alpha", "1", "--q", "3", "--A", "0,1", "--primes", "2,5", "--box", "100000"),
+         "MAX_POINTS = 100000"),
+    ],
+)
+def test_input_sized_walks_fail_fast(capsys, argv, cap):
+    # a period of up to 10**9 digits, or 10**9 and 10**10 points, each once
+    # held in a list: no answer in 15 s, 70 MB of stdout, or a MemoryError
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("precondition violated:") and cap in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

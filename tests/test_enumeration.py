@@ -9,6 +9,7 @@ import pytest
 
 from qadic.cantor import DigitCantorSet
 from qadic.enumeration import (
+    MAX_POINTS,
     all_digits_onset,
     dp_intersection,
     euclid_witness,
@@ -404,3 +405,20 @@ def test_dependence_matches_all_indices_membership():
     report = exceptional_geometric(1, Fraction(1, 2), K3_01, 50)
     assert report.members == (1, 3)
     assert max(report.members) < report.certified_tail.k_alpha
+
+
+def test_point_cap_before_allocation():
+    # k_max + 1 and (box + 1)**l points are counted before any is listed
+    assert MAX_POINTS == 10**5
+    assert len(geometric_rows(1, Fraction(1, 2), K3_01, 0)) == 1
+    for k_max in (MAX_POINTS, 10**9):
+        with pytest.raises(PreconditionError, match="MAX_POINTS"):
+            geometric_rows(1, Fraction(1, 2), K3_01, k_max)
+        with pytest.raises(PreconditionError, match="MAX_POINTS"):
+            exceptional_geometric(1, Fraction(1, 2), K3_01, k_max)
+    # 316**2 = 99856 points fit, 317**2 = 100489 do not
+    for box, primes in ((316, (2, 5)), (10**5, (2, 5)), (10**100, (2, 5, 7)), (MAX_POINTS, (2,))):
+        with pytest.raises(PreconditionError, match="MAX_POINTS"):
+            lattice_rows(1, primes, K3_01, box)
+        with pytest.raises(PreconditionError, match="MAX_POINTS"):
+            exceptional_lattice(1, primes, K3_01, box)

@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from qadic import kernels
 from qadic.expansion import expand
-from qadic.rational import split_coprime_part
+from qadic.rational import PreconditionError, split_coprime_part
 
 
 def _samples(count, den_max, seed):
@@ -157,3 +159,12 @@ def test_mask_round_trip():
     assert kernels.mask_digits(kernels.mask_of(())) == ()
     for digits in ((0,), (1, 3), (0, 1, 2, 3, 4)):
         assert kernels.mask_digits(kernels.mask_of(digits)) == digits
+
+
+def test_digit_cycle_period_cap(monkeypatch):
+    # 1/7 in base 10 has a 6-digit period: listed at a cap of 6, refused at 5
+    monkeypatch.setattr(kernels, "MAX_DIGITS", 6)
+    assert kernels.digit_cycle(1, 7, 10, 0) == ([], [1, 4, 2, 8, 5, 7])
+    monkeypatch.setattr(kernels, "MAX_DIGITS", 5)
+    with pytest.raises(PreconditionError, match="MAX_DIGITS = 5"):
+        kernels.digit_cycle(1, 7, 10, 0)
