@@ -5,19 +5,25 @@ still belong via its trailing-(q-1) representation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from qadic import kernels
 from qadic.expansion import alternate_expansion
-from qadic.rational import PreconditionError, parse_rational, require, require_digits, require_field, split_coprime_part
+from qadic.rational import (
+    PreconditionError,
+    Record,
+    parse_rational,
+    require,
+    require_digits,
+    require_field,
+    split_coprime_part,
+)
 
 __all__ = ["Gap", "DigitCantorSet"]
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(Record):
     """An open interval (left, right) of [0, 1] disjoint from the set."""
 
     left: Fraction
@@ -43,8 +49,7 @@ class Gap:
         return cls(parse_rational(data.get("left")), parse_rational(data.get("right")))
 
 
-@dataclass(frozen=True)
-class DigitCantorSet:
+class DigitCantorSet(Record):
     """K(q, A): x in [0, 1] whose base-q expansion can avoid every digit outside A.
 
     Needs q >= 3 and 1 < #A < q."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -22,6 +21,7 @@ from qadic.expansion import shift_digits
 from qadic.rational import (
     SMALL_PRIMES,
     PreconditionError,
+    Record,
     euler_phi,
     factorize,
     format_rational,
@@ -98,8 +98,7 @@ def _witness_base(q: int, t: int, primes: tuple[int, ...], h: int):
     return b, k0, tuple(r_list), n0
 
 
-@dataclass(frozen=True)
-class CongruenceWitness:
+class CongruenceWitness(Record):
     """An exponent realizing q**n = 1 + b*t*prod(p^k) mod t*prod(p^(k+h)).
 
     The exponent scales by p_i for each unit added to k_i."""
@@ -175,8 +174,7 @@ def _reduce_value(alpha: Fraction, q: int, P: int) -> tuple[int, int, int]:
     return r, reduced.numerator, reduced.denominator
 
 
-@dataclass(frozen=True)
-class ExclusionBound:
+class ExclusionBound(Record):
     """Everything the exclusion argument produced for alpha and its moduli.
 
     For all k_j >= k_alpha the value alpha / prod(p_j**k_j) lies outside the
@@ -260,8 +258,7 @@ def exclusion_bound(alpha, K: DigitCantorSet, primes, scan_empirical: bool = Tru
     return ExclusionBound(alpha, K, primes, h, gap, b, k0, b_hat, p_hat, m, k_alpha, r, empirical_k)
 
 
-@dataclass(frozen=True)
-class ExclusionCertificate:
+class ExclusionCertificate(Record):
     """A checkable proof that value is outside K(base, digits).
 
     The claim: base**exponent * value mod 1 lies strictly inside the largest

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from qadic import _par
@@ -21,6 +20,7 @@ from qadic.expansion import ExpansionQ, digit_set, expand
 from qadic.rational import (
     MAX_RESIDUES,
     PreconditionError,
+    Record,
     format_rational,
     modulus_list,
     require,
@@ -42,11 +42,11 @@ __all__ = [
     "euclid_witness",
     "mult_dependence",
     "MAX_POINTS",
+    "MAX_SCAN_BITS",
 ]
 
 
-@dataclass(frozen=True)
-class ExceptionalReport:
+class ExceptionalReport(Record):
     """Outcome of a bounded scan: who was a member, how far we looked, and
     whether anything is proven beyond the horizon.
 
@@ -86,10 +86,20 @@ def _check_scale(alpha, ratio=None) -> tuple[Fraction, Fraction | None]:
 # the benchmark's largest scan, checked before any point is listed.
 MAX_POINTS = 10**5
 
+# Most denominator bits a geometric or lattice scan may sum over its points,
+# a bound on its time, which grows with the size of each point: about eleven
+# times the largest sum of the benchmark's scans (911,248 bits).  Checked
+# with MAX_POINTS, from the closed forms in geometric_rows and lattice_rows.
+MAX_SCAN_BITS = 10**7
 
-def _require_points(what: str, n: int):
+
+def _require_points(what: str, n: int, den_bits: int):
     if n > MAX_POINTS:
         raise PreconditionError(f"{what} gives more than MAX_POINTS = {MAX_POINTS} points")
+    if den_bits > MAX_SCAN_BITS:
+        raise PreconditionError(
+            f"{what} gives denominators of {den_bits} bits in all, more than MAX_SCAN_BITS = {MAX_SCAN_BITS}"
+        )
 
 
 def _geo_point(alpha, ratio, K, k):
@@ -105,10 +115,11 @@ def _lattice_point(alpha, primes, K, k_tuple):
 def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[int, Fraction, bool]]:
     """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member).
 
-    More than MAX_POINTS points raise PreconditionError."""
+    More than MAX_POINTS points, or more than MAX_SCAN_BITS bits summed over
+    the powers t**k of the ratio's denominator t, raise PreconditionError."""
     alpha, ratio = _check_scale(alpha, ratio)
     require("k_max", k_max, 0)
-    _require_points("k_max", k_max + 1)
+    _require_points("k_max", k_max + 1, ratio.denominator.bit_length() * k_max * (k_max + 1) // 2)
     return _par.pmap(functools.partial(_geo_point, alpha, ratio, K), list(range(k_max + 1)))
 
 
@@ -138,11 +149,14 @@ def exceptional_geometric(alpha, ratio, K: DigitCantorSet, k_max: int) -> Except
 def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple[int, ...], Fraction, bool]]:
     """Evaluate alpha / prod(p_j**k_j) over [0, box]^l in lexicographic order.
 
-    More than MAX_POINTS points raise PreconditionError."""
+    More than MAX_POINTS points, or more than MAX_SCAN_BITS bits summed over
+    the products prod(p_j**k_j), raise PreconditionError."""
     alpha, _ = _check_scale(alpha)
     primes = modulus_list(primes)
     require("box", box, 0)
-    _require_points("box", (min(box, MAX_POINTS) + 1) ** len(primes))
+    points = (min(box, MAX_POINTS) + 1) ** len(primes)
+    # each k_j takes every value in [0, box] equally often, box / 2 on average
+    _require_points("box", points, points * box * sum(p.bit_length() for p in primes) // 2)
     k_tuples = list(itertools.product(range(box + 1), repeat=len(primes)))
     return _par.pmap(functools.partial(_lattice_point, alpha, primes, K), k_tuples)
 

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from qadic import kernels
-from qadic.rational import PreconditionError, factorize, require, require_digits, require_field, split_coprime_part
+from qadic.rational import (
+    PreconditionError,
+    Record,
+    factorize,
+    require,
+    require_digits,
+    require_field,
+    split_coprime_part,
+)
 
 __all__ = [
     "ExpansionQ",
@@ -55,8 +62,7 @@ def _repeated_block(period):
     return 0
 
 
-@dataclass(frozen=True)
-class ExpansionQ:
+class ExpansionQ(Record):
     """A digit expansion: finite preperiod, then the period repeated forever.
 
     Terminating expansions carry period (0,), so every instance denotes an

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from qadic.rational import (
     PreconditionError,
+    Record,
     euler_phi,
     factorize,
-    int_str_limit,
     is_prime,
     modulus_list,
     require,
     require_coprime,
+    require_printable,
     require_residues,
     valuation,
 )
@@ -46,8 +46,7 @@ def mult_order(a: int, m: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class OrderStabilization:
+class OrderStabilization(Record):
     """Exact data of the order of q along powers of the prime p.
 
     q**order == 1 + b * p**k0 with p not dividing b, and for k >= k0 the
@@ -81,18 +80,16 @@ def _stabilization(p: int, q: int) -> tuple[int, int]:
 def order_stabilization(p: int, q: int) -> OrderStabilization:
     """Stabilization data for ord(q) modulo powers of the prime p.
 
-    A b past the int-to-str limit, where one applies, raises
+    A b that could not be printed (`require_printable`) raises
     PreconditionError, before q**order is built when k0 shows it."""
     k0, d2 = _stabilization(p, q)
-    limit = int_str_limit()
-    # b >= 2**(d2*(bits(q)-1) - k0*bits(p)), and 2**(4*limit) > 10**limit > 2**(3*limit)
-    if not limit or d2 * (q.bit_length() - 1) - k0 * p.bit_length() <= 4 * limit:
-        b, rest = divmod(q**d2 - 1, p**k0)
-        if rest or b % p == 0:
-            raise RuntimeError(f"internal: p**{k0} is not the exact power of p in q**{d2} - 1 for p={p}, q={q}")
-        if not limit or b.bit_length() <= 3 * limit or b < 10**limit:
-            return OrderStabilization(p, q, k0, d2, b)
-    raise PreconditionError(f"stabilization b has more than {limit} digits, the int-to-str limit")
+    # q**d2 >= 2**(d2*(bits(q)-1)) and p**k0 < 2**(k0*bits(p)), so the integer b >= 2**floor
+    require_printable("stabilization b", log2_floor=d2 * (q.bit_length() - 1) - k0 * p.bit_length())
+    b, rest = divmod(q**d2 - 1, p**k0)
+    if rest or b % p == 0:
+        raise RuntimeError(f"internal: p**{k0} is not the exact power of p in q**{d2} - 1 for p={p}, q={q}")
+    require_printable("stabilization b", b)
+    return OrderStabilization(p, q, k0, d2, b)
 
 
 def order_of_prime_power(p: int, q: int, k: int) -> int:
@@ -153,8 +150,7 @@ def _verify_box_identity(primes, q, stabs, n0):
             raise RuntimeError(f"internal: box identity fails at exponents {ks} for primes {primes}, q={q}")
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
+class CosetDecomposition(Record):
     """The units modulo `modulus` split into orbits of multiplication by `generator`.
 
     Representatives are the minimal elements of their orbits, listed in

@@ -1,8 +1,8 @@
 """Exact parsing and formatting of rationals, the elementary number theory
-used everywhere else, and the precondition checks every module shares
+used everywhere else, the precondition checks every module shares
 (`require`, `require_rational`, `require_coprime`, `require_digits`,
 `require_field`, `modulus_list`, `parse_natural`, `int_str_limit`,
-`require_printable`).
+`require_printable`), and `Record`, the base of the frozen result classes.
 
 Integers are plain Python ints (arbitrary precision, always exact); rationals
 are `fractions.Fraction` values, kept in lowest terms by construction.
@@ -29,6 +29,7 @@ from fractions import Fraction
 
 __all__ = [
     "PreconditionError",
+    "Record",
     "parse_rational",
     "parse_natural",
     "format_rational",
@@ -42,6 +43,7 @@ __all__ = [
     "require_printable",
     "MAX_RESIDUES",
     "MAX_DIGITS",
+    "MAX_PRINT_DIGITS",
     "MAX_RHO_STEPS",
     "SMALL_PRIMES",
     "modulus_list",
@@ -55,6 +57,61 @@ __all__ = [
 
 class PreconditionError(ValueError):
     """An operation was called outside its contract; the message names the violated hypothesis."""
+
+
+class Record:
+    """Base of the frozen result classes; it does what `@dataclass(frozen=True)`
+    did for them, without importing `dataclasses` (and with it `inspect` and
+    `ast`) or generating code for each class.
+
+    A subclass's annotated names, in order, are its fields (`_fields`).  The
+    constructor takes them by position or keyword, all required, then calls
+    `self.__post_init__()`, looked up at call time.  Assignment and deletion
+    raise AttributeError; fields live in the instance `__dict__`, so
+    `object.__setattr__` and `functools.cached_property` still work.
+    Equality and hash go by the exact class and the field values, and the
+    repr is the dataclass one."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            state = dict(zip(fields, args), **kwargs)
+            # every field given, and none twice or past the last
+            if len(args) + len(kwargs) != len(fields) or state.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__}() takes each of the fields {', '.join(fields)} once")
+            args = [state[name] for name in fields]
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 _RATIONAL_RE = re.compile(r"\s*(\d+)\s*(?:/\s*(\d+))?\s*")
@@ -162,6 +219,13 @@ def require_residues(name: str, n: int) -> int:
 MAX_DIGITS = 10**6
 
 
+# Most decimal digits of an integer that is printed where no int-to-str limit
+# applies: about twice Python's default limit of 4300, so the stabilization b
+# of p = 101, q = 3 (4819 digits) still prints, while a witness exponent or a
+# q**ord past it fails as fast as it does under the default limit.
+MAX_PRINT_DIGITS = 10**4
+
+
 def int_str_limit() -> int:
     """Python's int-to-str digit limit, or 0 where none applies (disabled, or before Python 3.10.7)."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -175,16 +239,17 @@ def _power_of_ten(n: int) -> int:
 
 def require_printable(what: str, value: int = 0, log2_floor: int = 0):
     """Raise PreconditionError if an integer has more decimal digits than the
-    int-to-str limit, so that it could be neither written nor read back.  A
-    caller that knows value >= 2**log2_floor before building it passes that
-    floor alone, so that nothing far past the limit is ever built."""
+    int-to-str limit, so that it could be neither written nor read back, or,
+    where no limit applies, than MAX_PRINT_DIGITS.  A caller that knows
+    value >= 2**log2_floor before building it passes that floor alone, so
+    that nothing far past the limit is ever built."""
     limit = int_str_limit()
-    if limit:
-        ceiling = _power_of_ten(limit)
-        if value >= ceiling or log2_floor >= ceiling.bit_length():
-            raise PreconditionError(
-                f"{what} has more than {limit} decimal digits, the int-to-str limit (sys.get_int_max_str_digits())"
-            )
+    cap = "the int-to-str limit (sys.get_int_max_str_digits())"
+    if not limit:
+        limit, cap = MAX_PRINT_DIGITS, "MAX_PRINT_DIGITS, the cap where no int-to-str limit applies"
+    ceiling = _power_of_ten(limit)
+    if value >= ceiling or log2_floor >= ceiling.bit_length():
+        raise PreconditionError(f"{what} has more than {limit} decimal digits, {cap}")
 
 
 def modulus_list(values) -> tuple[int, ...]:

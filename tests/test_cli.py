@@ -200,6 +200,34 @@ def test_stabilization_without_int_str_limit(capsys):
     assert data["b"] * 101**2 == 3**10100 - 1
 
 
+def test_no_int_str_limit_falls_back_to_a_cap(capsys):
+    # with the limit disabled, q**ord for p=999983 would have about 10**12
+    # digits, and the exponents of witness and certify grow with k; past
+    # MAX_PRINT_DIGITS = 10**4 digits each exits 2 before the number is built
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        for argv, what in (
+            (("stabilize", "--p", "999983", "--q", "10"), "stabilization b"),
+            (("stabilize", "--p", "999983", "--q", "2"), "stabilization b"),
+            (("witness", "--q", "3", "--t", "1", "--primes", "2", "--h", "2", "--k", "40000"), "witness exponent"),
+            (("witness", "--q", "3", "--t", "1", "--primes", "2", "--h", "2", "--k", "1000000000"),
+             "witness exponent"),
+            (("certify", "--alpha", "1", "--q", "3", "--A", "0,1", "--primes", "2", "--k", "40000"),
+             "certificate exponent"),
+            (("euclid", "--q", "10", "--k", "10000"), "euclid denominator q**(k+1) - 1"),
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert f"{what} has more than 10000 decimal digits, MAX_PRINT_DIGITS" in err
+        code, out, _ = run_cli(capsys, "euclid", "--q", "10", "--k", "9998")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 0 and len(json.loads(out)["x"].split("/")[1]) == 9999
+
+
 def test_csv_limited_to_tables(capsys):
     code, _, err = run_cli(capsys, "expand", "--x", "1/8", "--q", "3", "--format", "csv")
     assert code == 2
@@ -399,11 +427,16 @@ def test_witness_and_certify_at_the_exponent_edge(capsys):
          "MAX_POINTS = 100000"),
         (("enumerate", "--alpha", "1", "--q", "3", "--A", "0,1", "--primes", "2,5", "--box", "100000"),
          "MAX_POINTS = 100000"),
+        (("enumerate", "--alpha", "1", "--q", "3", "--A", "0,1", "--ratio", "1/2", "--k-max", "90000"),
+         "MAX_SCAN_BITS = 10000000"),
+        (("enumerate", "--alpha", "1", "--q", "10", "--A", "0,1,2,3,4,5,6,7,8", "--primes", "2,5", "--box", "300"),
+         "MAX_SCAN_BITS = 10000000"),
     ],
 )
 def test_input_sized_walks_fail_fast(capsys, argv, cap):
     # a period of up to 10**9 digits, or 10**9 and 10**10 points, each once
-    # held in a list: no answer in 15 s, 70 MB of stdout, or a MemoryError
+    # held in a list: no answer in 15 s, 70 MB of stdout, or a MemoryError;
+    # or a legal number of points whose denominators sum to far past MAX_SCAN_BITS
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1

@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from qadic import enumeration
 from qadic.cantor import DigitCantorSet
 from qadic.enumeration import (
     MAX_POINTS,
+    MAX_SCAN_BITS,
     all_digits_onset,
     dp_intersection,
     euclid_witness,
@@ -422,3 +424,25 @@ def test_point_cap_before_allocation():
             lattice_rows(1, primes, K3_01, box)
         with pytest.raises(PreconditionError, match="MAX_POINTS"):
             exceptional_lattice(1, primes, K3_01, box)
+
+
+def test_scan_bit_cap_from_closed_forms(monkeypatch):
+    # bits(t) * k_max * (k_max + 1) / 2 and (box + 1)**l * box / 2 * sum(bits(p_j)),
+    # checked before any point is listed
+    assert MAX_SCAN_BITS == 10**7
+    with pytest.raises(PreconditionError, match="MAX_SCAN_BITS"):
+        geometric_rows(1, Fraction(1, 2), K3_01, 3162)  # 10,001,406 bits
+    with pytest.raises(PreconditionError, match="MAX_SCAN_BITS"):
+        exceptional_lattice(1, (2, 3), K3_01, 171)  # 10,117,728 bits
+    monkeypatch.setattr(enumeration, "MAX_SCAN_BITS", 110)
+    assert len(geometric_rows(1, Fraction(1, 2), K3_01, 10)) == 11  # 2 * 10 * 11 / 2 = 110 bits
+    assert len(geometric_rows(1, Fraction(2, 3), K3_01, 10)) == 11
+    for ratio in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)):
+        with pytest.raises(PreconditionError, match="MAX_SCAN_BITS = 110"):
+            exceptional_geometric(1, ratio, K3_01, 11)  # 132 bits
+    assert len(lattice_rows(1, (2, 3), K3_01, 3)) == 16  # 16 * 3 / 2 * 4 = 96 bits
+    with pytest.raises(PreconditionError, match="MAX_SCAN_BITS = 110"):
+        lattice_rows(1, (2, 3), K3_01, 4)  # 25 * 4 / 2 * 4 = 200 bits
+    assert len(lattice_rows(1, (2,), K3_01, 10)) == 11  # 11 * 10 / 2 * 2 = 110 bits
+    with pytest.raises(PreconditionError, match="MAX_SCAN_BITS = 110"):
+        lattice_rows(1, (2,), K3_01, 11)  # 12 * 11 / 2 * 2 = 132 bits

@@ -278,3 +278,19 @@ def test_require_residues_cap():
     assert require_residues("m", MAX_RESIDUES) == MAX_RESIDUES
     with pytest.raises(PreconditionError, match="m exceeds MAX_RESIDUES"):
         require_residues("m", MAX_RESIDUES + 1)
+
+
+def test_require_printable_falls_back_to_a_named_cap(monkeypatch):
+    # the int-to-str limit where one applies, else MAX_PRINT_DIGITS
+    assert rational.MAX_PRINT_DIGITS == 10**4
+    monkeypatch.setattr(rational, "int_str_limit", lambda: 5)
+    rational.require_printable("x", 99999)
+    with pytest.raises(PreconditionError, match=r"x has more than 5 decimal digits, the int-to-str limit"):
+        rational.require_printable("x", 10**5)
+    with pytest.raises(PreconditionError, match="the int-to-str limit"):
+        rational.require_printable("x", log2_floor=17)  # 2**17 > 10**5
+    monkeypatch.setattr(rational, "int_str_limit", lambda: 0)
+    rational.require_printable("x", 10**10000 - 1, log2_floor=33219)
+    for value, floor in ((10**10000, 0), (0, 33220)):  # 2**33220 > 10**10000 > 2**33219
+        with pytest.raises(PreconditionError, match="more than 10000 decimal digits, MAX_PRINT_DIGITS"):
+            rational.require_printable("x", value, log2_floor=floor)
