@@ -17,7 +17,6 @@ from functools import lru_cache
 from itertools import accumulate
 
 from qadic.cantor import DigitCantorSet, Gap
-from qadic.expansion import shift_digits
 from qadic.rational import (
     SMALL_PRIMES,
     PreconditionError,
@@ -122,8 +121,8 @@ class CongruenceWitness(Record):
     def check(self) -> bool:
         """Re-run the defining congruence by modular exponentiation, split by
         the primes of the moduli (`_power_by_parts`)."""
-        prime_powers = _prime_powers(self.t, self.primes, [k + self.h for k in self.k_tuple])
-        return _power_by_parts(self.q, self.exponent, self.modulus(), prime_powers) == self.target()
+        parts = _kernel_parts(self.q, self.t, self.primes, [k + self.h for k in self.k_tuple])
+        return _power_by_parts(self.q, self.exponent, self.modulus(), parts) == self.target()
 
     def to_dict(self) -> dict:
         return {
@@ -146,20 +145,28 @@ def congruence_witness(q: int, t: int, primes, h: int, k_tuple) -> CongruenceWit
     congruence is rechecked by modular exponentiation before returning."""
     primes = modulus_list(primes)
     k_tuple = tuple(k_tuple)
-    if len(k_tuple) != len(primes):
-        raise PreconditionError(f"k_tuple has {len(k_tuple)} entries for {len(primes)} moduli")
     b, k0, r_list, n0 = _witness_base(q, t, primes, h)
     if any(k < k0 for k in k_tuple):
         raise PreconditionError(f"k_tuple {list(k_tuple)} below the stabilization threshold k0 = {k0}")
-    # p**(k - r) >= 2**((k - r) * (bits(p) - 1)), and n0 >= 1
-    log2_floor = sum((k - r) * (p.bit_length() - 1) for p, k, r in zip(primes, k_tuple, r_list))
-    require_printable("witness exponent", log2_floor=log2_floor)
-    exponent = n0 * math.prod(p ** (k - r) for p, k, r in zip(primes, k_tuple, r_list))
-    require_printable("witness exponent", exponent)
+    exponent = _witness_exponent("witness exponent", primes, k_tuple, r_list, n0)
     witness = CongruenceWitness(q, t, primes, h, b, k0, k_tuple, exponent)
     if not witness.check():
         raise RuntimeError("internal: constructed witness fails its congruence")
     return witness
+
+
+def _witness_exponent(what: str, primes, k_tuple, r_list, n0: int) -> int:
+    """n0 * prod(p_j**(k_j - r_j)), for one k_j per modulus; PreconditionError
+    naming what if it is past the int-to-str limit (`require_printable`),
+    raised before it is built where a lower bound shows it."""
+    if len(k_tuple) != len(primes):
+        raise PreconditionError(f"k_tuple has {len(k_tuple)} entries for {len(primes)} moduli")
+    # p**(k - r) >= 2**((k - r) * (bits(p) - 1)), and n0 >= 1
+    log2_floor = sum((k - r) * (p.bit_length() - 1) for p, k, r in zip(primes, k_tuple, r_list))
+    require_printable(what, log2_floor=log2_floor)
+    exponent = n0 * math.prod(p ** (k - r) for p, k, r in zip(primes, k_tuple, r_list))
+    require_printable(what, exponent)
+    return exponent
 
 
 def _reduce_value(alpha: Fraction, q: int, P: int) -> tuple[int, int, int]:
@@ -310,18 +317,6 @@ def certificate_from_dict(data: dict) -> ExclusionCertificate:
 _CRT_MIN_BITS = 256
 
 
-def _prime_powers(t: int, primes, exponents) -> list[tuple[int, int]]:
-    """[(r, v)]: the exact power r**v in t * prod(p_j**k_j), for the
-    exponents k_j, of each prime r below 2**10 that divides a modulus.  Only
-    such parts go to the kernel (`_kernel_parts`), so the moduli need no
-    factoring beyond SMALL_PRIMES."""
-    return [
-        (r, valuation(t, r) + sum(k * valuation(p, r) for p, k in zip(primes, exponents)))
-        for r in SMALL_PRIMES
-        if any(p % r == 0 for p in primes)
-    ]
-
-
 def _horner(coeffs, x: int, r: int, t: int, prec: int) -> int:
     """sum(c * x**i for i, c in enumerate(coeffs)) mod r**prec, for v_r(x) >= t.
 
@@ -378,10 +373,18 @@ def _pow_prime_power(q: int, e: int, r: int, v: int) -> int:
     return head * (_horner(falling, y, r, t, v + k) // r**k * unit) % m
 
 
-def _kernel_parts(q: int, prime_powers) -> list[tuple[int, int]]:
-    """The pairs (r, v) whose part r**v goes to _pow_prime_power: r < 2**10,
-    r not dividing q, and r**v above _CRT_MIN_BITS bits."""
-    return [(r, v) for r, v in prime_powers if r < 2**10 and q % r and (r**v).bit_length() > _CRT_MIN_BITS]
+def _kernel_parts(q: int, t: int, primes, exponents) -> list[tuple[int, int]]:
+    """[(r, v)]: the exact power r**v in t * prod(p_j**k_j), for the exponents
+    k_j, of each prime r of SMALL_PRIMES that divides a modulus but not q and
+    whose part r**v has more than _CRT_MIN_BITS bits.  These parts go to
+    _pow_prime_power, so the moduli need no factoring beyond SMALL_PRIMES."""
+    parts = []
+    for r in SMALL_PRIMES:
+        if q % r and any(p % r == 0 for p in primes):
+            v = valuation(t, r) + sum(k * valuation(p, r) for p, k in zip(primes, exponents))
+            if (r**v).bit_length() > _CRT_MIN_BITS:
+                parts.append((r, v))
+    return parts
 
 
 def _power_by_parts(q: int, e: int, den: int, parts) -> int:
@@ -397,21 +400,6 @@ def _power_by_parts(q: int, e: int, den: int, parts) -> int:
     return x
 
 
-def _shift_by_parts(value: Fraction, q: int, n: int, prime_powers) -> Fraction:
-    """shift_digits(value, q, n), with the power split by prime-power parts.
-
-    prime_powers lists pairs (r, v), r prime, with r**v the exact power of r
-    in value's denominator.  Where one or more of those parts qualify
-    (`_kernel_parts`), the power goes through `_power_by_parts`: at 300 to
-    3000 bits `pow` costs about the cube of the modulus size, the kernel far
-    less.  Otherwise this is shift_digits."""
-    parts = _kernel_parts(q, prime_powers)
-    if not parts:
-        return shift_digits(value, q, n)
-    num, den = value.numerator, value.denominator
-    return Fraction(num * _power_by_parts(q, n, den, parts) % den, den)
-
-
 def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCertificate:
     """Certificate that alpha / prod(p_j**k_j) is outside K, for k_j >= k_alpha.
 
@@ -420,26 +408,21 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     may be astronomically large, but only its residue behavior matters.  An
     exponent past the int-to-str limit raises PreconditionError
     (`require_printable`), before it is built where a lower bound shows it.
-    The shift splits the denominator by the primes of the moduli
-    (`_shift_by_parts`)."""
+    The power that shifts the value splits its denominator by the primes of
+    the moduli (`_kernel_parts`, `_power_by_parts`)."""
     alpha = require_rational("alpha", alpha)
     primes = modulus_list(primes)
     k_tuple = tuple(k_tuple)
-    if len(k_tuple) != len(primes):
-        raise PreconditionError(f"k_tuple has {len(k_tuple)} entries for {len(primes)} moduli")
     bound = exclusion_bound(alpha, K, primes, scan_empirical=False)
     if any(k < bound.k_alpha for k in k_tuple):
         raise PreconditionError(f"k_tuple {list(k_tuple)} below the certified bound k_alpha = {bound.k_alpha}")
     q = K.base
     P = math.prod(primes)
     r = bound.reduction_r
-    h = bound.h
     _, s_hat, t_hat = _reduce_value(alpha, q, P)
-    b, k0, r_list, n0 = _witness_base(q, t_hat, primes, h)
-    # exponent >= n >= 2**log2_floor, as p**e >= 2**(e * (bits(p) - 1))
-    log2_floor = sum((k - r - h - rj) * (p.bit_length() - 1) for p, k, rj in zip(primes, k_tuple, r_list))
-    require_printable("certificate exponent", log2_floor=log2_floor)
-    n = n0 * math.prod(p ** (k - r - h - rj) for p, k, rj in zip(primes, k_tuple, r_list))
+    _, _, r_list, n0 = _witness_base(q, t_hat, primes, bound.h)
+    # exponent = r + i_m * n >= n, the witness exponent of the h-shifted tuple
+    n = _witness_exponent("certificate exponent", primes, [k - r - bound.h for k in k_tuple], r_list, n0)
     i_m = bound.m * pow(s_hat * bound.b_hat, -1, bound.p_hat) % bound.p_hat
     if i_m == 0:
         raise RuntimeError("internal: shift index collapsed to zero")
@@ -449,8 +432,9 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     # value = s_hat / (t_hat * q**r * prod(p_j**(k_j - r))) with s_hat coprime
     # to every p_j, so each prime f of the moduli divides its denominator
     # v_f(t_hat) + sum_j (k_j - r) * v_f(p_j) times
-    prime_powers = _prime_powers(t_hat, primes, [k - r for k in k_tuple])
-    residue = _shift_by_parts(value, q, exponent, prime_powers)
+    num, den = value.numerator, value.denominator
+    parts = _kernel_parts(q, t_hat, primes, [k - r for k in k_tuple])
+    residue = Fraction(num * _power_by_parts(q, exponent, den, parts) % den, den)
     expected = Fraction(s_hat, t_hat * math.prod(p ** (k - r) for p, k in zip(primes, k_tuple))) + Fraction(
         bound.m, bound.p_hat
     )
@@ -463,20 +447,18 @@ def _power_mod_den(q: int, e: int, den: int) -> int:
     """pow(q, e, den), split by CRT from den alone; the verifier's own code.
 
     Each prime r below 2**10 that divides den but not q gives the exact part
-    r**v of den as gcd(den, r**E), for a power r**E past den.  With two or
-    more parts above _CRT_MIN_BITS bits, each is powered with e reduced mod
-    r**(v-1) * (r-1) and the rest of den with e itself, and the results are
-    joined by CRT.  The rest may hold any primes: nothing is factored, so
-    the split is exact whatever den is."""
+    r**v of den as gcd(den, r**E), for a power r**E past den.  Each such part
+    above _CRT_MIN_BITS bits is powered with e reduced mod r**(v-1) * (r-1),
+    the rest of den with e itself, and the results are joined by CRT; with
+    none, this is one pow over den.  The rest may hold any primes: nothing is
+    factored, so the split is exact whatever den is."""
     parts = []
-    if den.bit_length() > 2 * _CRT_MIN_BITS:
+    if den.bit_length() > _CRT_MIN_BITS:
         for r in SMALL_PRIMES:
             if den % r == 0 and q % r:
                 part = math.gcd(den, r ** (den.bit_length() // (r.bit_length() - 1) + 1))
                 if part.bit_length() > _CRT_MIN_BITS:
                     parts.append((part, part // r * (r - 1)))
-    if len(parts) < 2:
-        return pow(q, e, den)
     modulus = den
     for part, _ in parts:
         modulus //= part
@@ -492,7 +474,7 @@ def verify_certificate(cert) -> bool:
     largest gap recomputed from (base, digits).
 
     The residue is a modular power computed here (`_power_mod_den`), not by
-    the certifier's shift.  Malformed input (anything that raises
+    the certifier's (`_power_by_parts`).  Malformed input (anything that raises
     PreconditionError, or a negative value) returns False; any other
     exception is a fault and propagates.  A True answer is a sound proof that
     value is not in the set."""

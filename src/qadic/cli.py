@@ -14,7 +14,6 @@ import functools
 import io
 import json
 import sys
-from fractions import Fraction
 
 from qadic import enumeration
 from qadic.cantor import DigitCantorSet
@@ -136,22 +135,16 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _csv_table(rows, q: int) -> str:
+    """An enumeration table: one CSV row per (index, value, member), with the
+    digits of the value's base-q expansion, left empty for a value >= 1."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerow(["index", "value", "member", "digit_set"])
+    for index, value, member in rows:
+        digits = "" if value >= 1 else " ".join(str(d) for d in sorted(digit_set(value, q)))
+        writer.writerow((index, format_rational(value), json.dumps(member), digits))
     return buf.getvalue()
-
-
-def _digit_set_cell(value: Fraction, q: int) -> str:
-    if value >= 1:
-        return ""
-    return " ".join(str(d) for d in sorted(digit_set(value, q)))
-
-
-_ENUM_HEADER = ["index", "value", "member", "digit_set"]
 
 
 def _enumerate_doc(ns) -> tuple[dict | None, str | None]:
@@ -166,24 +159,14 @@ def _enumerate_doc(ns) -> tuple[dict | None, str | None]:
             raise PreconditionError("--ratio requires --k-max")
         ratio = parse_rational(ns.ratio)
         if ns.format == "csv":
-            rows = enumeration.geometric_rows(alpha, ratio, K, ns.k_max)
-            return None, _csv_text(
-                _ENUM_HEADER,
-                ((k, format_rational(v), json.dumps(m), _digit_set_cell(v, ns.q)) for k, v, m in rows),
-            )
+            return None, _csv_table(enumeration.geometric_rows(alpha, ratio, K, ns.k_max), ns.q)
         return enumeration.exceptional_geometric(alpha, ratio, K, ns.k_max).to_dict(), None
     if ns.box is None:
         raise PreconditionError("--primes requires --box")
     primes = _int_list_arg(ns.primes)
     if ns.format == "csv":
         rows = enumeration.lattice_rows(alpha, primes, K, ns.box)
-        return None, _csv_text(
-            _ENUM_HEADER,
-            (
-                (" ".join(str(k) for k in kt), format_rational(v), json.dumps(m), _digit_set_cell(v, ns.q))
-                for kt, v, m in rows
-            ),
-        )
+        return None, _csv_table(((" ".join(map(str, kt)), v, m) for kt, v, m in rows), ns.q)
     return enumeration.exceptional_lattice(alpha, primes, K, ns.box).to_dict(), None
 
 
@@ -192,11 +175,8 @@ def _dp_doc(ns) -> tuple[dict | None, str | None]:
     members = enumeration.dp_intersection(ns.p, K, ns.exp_max)
     if ns.format == "csv":
         primes = [r for r, _ in factorize(ns.p)]
-        rows = []
-        for x in members:
-            exps = " ".join(str(valuation(x.denominator, r)) for r in primes)
-            rows.append((exps, format_rational(x), "true", _digit_set_cell(x, ns.q)))
-        return None, _csv_text(_ENUM_HEADER, rows)
+        rows = ((" ".join(str(valuation(x.denominator, r)) for r in primes), x, True) for x in members)
+        return None, _csv_table(rows, ns.q)
     return {"members": [format_rational(x) for x in members]}, None
 
 

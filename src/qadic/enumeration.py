@@ -285,10 +285,11 @@ def all_digits_onset(alpha, ratio, q: int, k_max: int) -> int | None:
 
     None when the last scanned index still misses a digit (no onset shown
     within the bound).  Indices whose value exceeds or reaches 1 count as not
-    full."""
+    full.  The scan is capped as in geometric_rows."""
     require("q", q, 3)
     alpha, ratio = _check_scale(alpha, ratio)
     require("k_max", k_max, 0)
+    _require_points("k_max", k_max + 1, ratio.denominator.bit_length() * k_max * (k_max + 1) // 2)
     every = set(range(q))
     last_bad = -1
     for k in range(k_max + 1):

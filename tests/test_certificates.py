@@ -15,9 +15,10 @@ from qadic.cantor import DigitCantorSet, Gap
 from qadic.certificates import (
     _CRT_MIN_BITS,
     CongruenceWitness,
+    _kernel_parts,
     _pow_prime_power,
+    _power_by_parts,
     _power_mod_den,
-    _shift_by_parts,
     _witness_base,
     ExclusionCertificate,
     certificate_from_dict,
@@ -26,7 +27,6 @@ from qadic.certificates import (
     make_certificate,
     verify_certificate,
 )
-from qadic.expansion import shift_digits
 from qadic.rational import SMALL_PRIMES, PreconditionError, parse_rational
 
 K3_01 = DigitCantorSet(3, (0, 1))
@@ -100,6 +100,18 @@ def test_witness_check_by_parts(monkeypatch):
     assert sorted(calls) == [(2, 402), (5, 202)]
     assert not _replace(w, exponent=w.exponent + 1).check()
     assert not _replace(w, exponent=w.exponent + w.exponent // 3).check()
+
+
+def test_witness_check_with_q_sharing_a_prime_of_the_modulus():
+    # r = 2 and r = 3 divide both q and the modulus, so their parts are not
+    # the kernel's to power; pow over the modulus gives the target, 0
+    for w in (
+        CongruenceWitness(2, 1, (2,), 300, 2**300 - 1, 1, (0,), 8192),
+        CongruenceWitness(6, 1, (3,), 200, 3**200 - 1, 1, (0,), 10 * 3**10),
+    ):
+        assert pow(w.q, w.exponent, w.modulus()) == w.target() == 0
+        assert w.check()
+        assert not _replace(w, exponent=1).check()
 
 
 def test_witness_soundness_sweep():
@@ -304,14 +316,13 @@ def test_verify_shares_no_shift_code_with_the_certifier(monkeypatch):
     def planted(*args):
         raise RuntimeError("planted fault")
 
-    monkeypatch.setattr("qadic.certificates.shift_digits", planted)
     monkeypatch.setattr("qadic.expansion.shift_digits", planted)
     # two primes whose parts of the denominator, 2**300 and 5**300, both
-    # exceed the split threshold: the certifier splits, so it never shifts
+    # exceed the split threshold: the certifier powers them by its kernel
     split = make_certificate(1, K3_02, (2, 5), (300, 300))
     assert split.value.denominator == 2**300 * 5**300
     split_tampered = _replace(split, exponent=split.exponent + 1)
-    monkeypatch.setattr("qadic.certificates._shift_by_parts", planted)
+    monkeypatch.setattr("qadic.certificates._power_by_parts", planted)
     monkeypatch.setattr("qadic.certificates._pow_prime_power", planted)
     assert verify_certificate(good)
     assert not verify_certificate(tampered)
@@ -326,9 +337,9 @@ def test_verify_shares_no_shift_code_with_the_certifier(monkeypatch):
 
 
 def _random_modulus(rng, q, n_parts, part_bits):
-    """(den, prime_powers): n_parts prime powers r**v of about part_bits bits
-    each, one of them sharing a prime with q now and then, times a tiny
-    cofactor coprime to them."""
+    """(den, cofactor, prime_powers): n_parts prime powers r**v of about
+    part_bits bits each, one of them sharing a prime with q now and then,
+    times a tiny cofactor coprime to them."""
     primes = rng.sample([2, 3, 5, 7, 11, 13, 997, 1009, 2**61 - 1], n_parts)
     if rng.random() < 0.3:
         primes[0] = min(r for r in (2, 3, 5, 7) if q % r == 0)
@@ -337,21 +348,19 @@ def _random_modulus(rng, q, n_parts, part_bits):
     cofactor = rng.choice([1, 3, 9, 35, 1013 * 1019, rng.randrange(1, 10**6)])
     while any(cofactor % r == 0 for r in primes):
         cofactor += 1
-    return math.prod(r**v for r, v in prime_powers) * cofactor, prime_powers
+    return math.prod(r**v for r, v in prime_powers) * cofactor, cofactor, prime_powers
 
 
 def test_split_power_matches_pow():
     rng = random.Random(12)
     for _ in range(200):
         q = rng.choice([2, 3, 4, 5, 6, 7, 10, 12])
-        den, prime_powers = _random_modulus(rng, q, rng.randint(1, 3), rng.randint(8, 600))
+        den, cofactor, prime_powers = _random_modulus(rng, q, rng.randint(1, 3), rng.randint(8, 600))
         e = rng.randrange(2 ** rng.randint(1, den.bit_length() + 64))
         expected = pow(q, e, den)
         assert _power_mod_den(q, e, den) == expected
-        s = rng.randrange(1, den)
-        while math.gcd(s, den) > 1:
-            s += 1
-        assert _shift_by_parts(Fraction(s, den), q, e, prime_powers) == Fraction(s * expected % den, den)
+        parts = _kernel_parts(q, cofactor, *zip(*prime_powers))
+        assert _power_by_parts(q, e, den, parts) == expected
 
 
 def _kernel_cases(rng, r, v):
@@ -406,33 +415,28 @@ def test_pow_prime_power_deeper_start():
 
 def test_split_threshold(monkeypatch):
     # 2**255 and 5**110 have _CRT_MIN_BITS = 256 bits, 2**256 and 5**111
-    # more: the verifier gives up the single power over den only for two
-    # parts both past it, the certifier its shift for any one part past it
+    # more: one part past it splits den on both sides, and with none each
+    # side makes one pow over den
     assert _CRT_MIN_BITS == 256
-    moduli, shifts = [], []
+    moduli = []
 
     def spy_pow(base, exponent, modulus):
         moduli.append(modulus)
         return pow(base, exponent, modulus)
 
-    def spy_shift(x, q, n):
-        shifts.append(x)
-        return shift_digits(x, q, n)
-
     monkeypatch.setattr(qadic.certificates, "pow", spy_pow, raising=False)
-    monkeypatch.setattr(qadic.certificates, "shift_digits", spy_shift)
     e = 3**1000 + 1
-    for v2, v5 in itertools.product((255, 256), (110, 111)):
+    for v2, v5 in itertools.product((255, 256), (0, 110, 111)):
         for cofactor in (1, 3 * 1013):
             den = 2**v2 * 5**v5 * cofactor
             expected = pow(3, e, den)
-            moduli.clear()
-            shifts.clear()
-            assert _power_mod_den(3, e, den) == expected
-            assert _shift_by_parts(Fraction(1, den), 3, e, [(2, v2), (5, v5)]) == Fraction(expected, den)
-            single = v2 == 255 or v5 == 110
-            assert (den in moduli) == single
-            assert len(shifts) == (v2 == 255 and v5 == 110)
+            parts = _kernel_parts(3, cofactor, (2, 5), (v2, v5))
+            single = v2 == 255 and v5 <= 110
+            assert (parts == []) == single
+            for power in (lambda: _power_mod_den(3, e, den), lambda: _power_by_parts(3, e, den, parts)):
+                moduli.clear()
+                assert power() == expected
+                assert (moduli == [den]) == single
 
 
 def _single_power_verdict(cert):

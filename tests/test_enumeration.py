@@ -305,6 +305,20 @@ def test_all_digits_onset_absent_and_rejected():
         all_digits_onset(0, Fraction(1, 2), 3, 10)
 
 
+def test_all_digits_onset_capped(monkeypatch):
+    # the scan of geometric_rows, capped the same way: for ratio 1/2, 3162 is
+    # the first k_max rejected (10,001,406 bits); uncapped, 6000 ran past 17 s
+    start = time.perf_counter()
+    for k_max in (3162, 6000):
+        with pytest.raises(PreconditionError, match="MAX_SCAN_BITS"):
+            all_digits_onset(1, Fraction(1, 2), 10, k_max)
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(enumeration, "MAX_SCAN_BITS", 110)
+    assert all_digits_onset(1, Fraction(1, 2), 3, 10) == 4  # 2 * 10 * 11 / 2 = 110 bits
+    with pytest.raises(PreconditionError, match="MAX_SCAN_BITS = 110"):
+        all_digits_onset(1, Fraction(1, 2), 3, 11)
+
+
 def test_euclid_witness_frozen():
     x, e, ok = euclid_witness(3, 1)
     assert (x, e.period, ok) == (Fraction(3, 8), (1, 0), True)

@@ -1,4 +1,5 @@
-"""No module under src/qadic or tests imports a name it never reads."""
+"""No module under src/qadic or tests imports a name it never reads, and no
+module-level private name in src/qadic goes unread by the package."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,44 @@ def test_no_unused_imports():
     assert len(files) >= 20
     found = {f"{f.parent.name}/{f.name}": hits for f in files if (hits := _unused_imports(f.read_text()))}
     assert found == {}
+
+
+def _unread_private_names(sources):
+    """Sorted (module, name) for each module-level private function, class or
+    constant of the sources, a dict of module name to source, that none of
+    them reads (by name, as an attribute, or in a from-import)."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [(module, name) for name in names if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_private_guard_flags_each_unread_form():
+    sources = {
+        "a": "_LIMIT = 3\n_BITS: int = 8\ndef _left(): pass\nclass _Gone: pass\ndef _used(): return _BITS\n",
+        "b": "from a import _used\nimport a\n__all__ = []\na._LIMIT\n_x = _used()\n",
+    }
+    assert _unread_private_names(sources) == [("a", "_Gone"), ("a", "_left"), ("b", "_x")]
+
+
+def test_no_unread_private_names():
+    files = sorted(ROOTS[0].glob("*.py"))
+    assert len(files) >= 10
+    assert _unread_private_names({f.name: f.read_text() for f in files}) == []
