@@ -131,7 +131,35 @@ def _config_doc(ns: argparse.Namespace) -> dict:
     return doc
 
 
+# json.dumps renders indented JSON with the pure-Python encoder.  Without
+# indent the C encoder runs, and with this separator it writes the items of
+# a list exactly as the indented form does at depth 1.  A list is encoded in
+# slices of _SLICE items, so the C encoder's chunk list for the whole list
+# never exists at once.
+_encode_items = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+_SLICE = 2048
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
 def _json_text(doc) -> str:
+    """json.dumps(doc, indent=2) + "\\n", byte for byte.
+
+    A dict with str keys whose values are scalars (None, bool, int, str) or
+    lists of scalars is rendered here; any other shape, floats and int
+    subclasses other than bool included, goes to json.dumps."""
+    if type(doc) is dict and all(type(key) is str for key in doc):
+        fields = []
+        for key, value in doc.items():
+            if type(value) in _SCALARS:
+                text = json.dumps(value)
+            elif type(value) is list and _SCALARS.issuperset(map(type, value)):
+                slices = (_encode_items(value[i:i + _SLICE])[1:-1] for i in range(0, len(value), _SLICE))
+                text = "[\n    " + ",\n    ".join(slices) + "\n  ]" if value else "[]"
+            else:
+                break
+            fields.append(f"{json.dumps(key)}: {text}")
+        else:
+            return "{\n  " + ",\n  ".join(fields) + "\n}\n" if fields else "{}\n"
     return json.dumps(doc, indent=2) + "\n"
 
 
