@@ -409,7 +409,9 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     exponent past the int-to-str limit raises PreconditionError
     (`require_printable`), before it is built where a lower bound shows it.
     The power that shifts the value splits its denominator by the primes of
-    the moduli (`_kernel_parts`, `_power_by_parts`)."""
+    the moduli (`_kernel_parts`, `_power_by_parts`).  A certificate whose
+    check would pass MAX_POWER_COST raises PreconditionError before that
+    power is taken, so every certificate made here can be verified."""
     alpha = require_rational("alpha", alpha)
     primes = modulus_list(primes)
     k_tuple = tuple(k_tuple)
@@ -433,6 +435,8 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     # to every p_j, so each prime f of the moduli divides its denominator
     # v_f(t_hat) + sum_j (k_j - r) * v_f(p_j) times
     num, den = value.numerator, value.denominator
+    # refuse what the verifier would refuse, by the verifier's split of den
+    _require_power_cost(exponent, den, _den_parts(q, den))
     parts = _kernel_parts(q, t_hat, primes, [k - r for k in k_tuple])
     residue = Fraction(num * _power_by_parts(q, exponent, den, parts) % den, den)
     expected = Fraction(s_hat, t_hat * math.prod(p ** (k - r) for p, k in zip(primes, k_tuple))) + Fraction(
@@ -443,15 +447,20 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     return ExclusionCertificate(value, q, K.digits, exponent, residue, bound.gap)
 
 
-def _power_mod_den(q: int, e: int, den: int) -> int:
-    """pow(q, e, den), split by CRT from den alone; the verifier's own code.
+# The cost cap on a certificate's modular power, for certifier and verifier
+# alike: bits(e) times the bits of what is left of den after the verifier's
+# split (`_den_parts`), which pow raises to e itself.  At the cap that pow
+# takes about a second; the benchmark's certificates stay below 2.3e5.
+MAX_POWER_COST = 4 * 10**7
+
+
+def _den_parts(q: int, den: int) -> list[tuple[int, int]]:
+    """The verifier's split of den, from den alone: [(part, phi(part))].
 
     Each prime r below 2**10 that divides den but not q gives the exact part
-    r**v of den as gcd(den, r**E), for a power r**E past den.  Each such part
-    above _CRT_MIN_BITS bits is powered with e reduced mod r**(v-1) * (r-1),
-    the rest of den with e itself, and the results are joined by CRT; with
-    none, this is one pow over den.  The rest may hold any primes: nothing is
-    factored, so the split is exact whatever den is."""
+    r**v of den as gcd(den, r**E), for a power r**E past den; the parts above
+    _CRT_MIN_BITS bits are listed, none when den itself is no larger.  What
+    is left of den may hold any primes: nothing is factored."""
     parts = []
     if den.bit_length() > _CRT_MIN_BITS:
         for r in SMALL_PRIMES:
@@ -459,6 +468,30 @@ def _power_mod_den(q: int, e: int, den: int) -> int:
                 part = math.gcd(den, r ** (den.bit_length() // (r.bit_length() - 1) + 1))
                 if part.bit_length() > _CRT_MIN_BITS:
                     parts.append((part, part // r * (r - 1)))
+    return parts
+
+
+def _require_power_cost(e: int, den: int, parts) -> None:
+    """PreconditionError naming MAX_POWER_COST when bits(e) times the bits of
+    den with the parts taken out passes it."""
+    rest = den // math.prod(part for part, _ in parts)
+    cost = e.bit_length() * rest.bit_length()
+    if cost > MAX_POWER_COST:
+        raise PreconditionError(
+            f"a {e.bit_length()}-bit exponent over {rest.bit_length()} bits of denominator left unsplit "
+            f"costs {cost}, more than MAX_POWER_COST = {MAX_POWER_COST}"
+        )
+
+
+def _power_mod_den(q: int, e: int, den: int) -> int:
+    """pow(q, e, den), split by CRT from den alone; the verifier's own code.
+
+    Each part of den (`_den_parts`) is powered with e reduced mod its phi,
+    the rest of den with e itself, after the cost cap
+    (`_require_power_cost`), and the results are joined by CRT; with no
+    parts, this is one pow over den."""
+    parts = _den_parts(q, den)
+    _require_power_cost(e, den, parts)
     modulus = den
     for part, _ in parts:
         modulus //= part
@@ -475,7 +508,9 @@ def verify_certificate(cert) -> bool:
 
     The residue is a modular power computed here (`_power_mod_den`), not by
     the certifier's (`_power_by_parts`).  Malformed input (anything that raises
-    PreconditionError, or a negative value) returns False; any other
+    PreconditionError while the certificate is read, or a negative value)
+    returns False.  A power past MAX_POWER_COST raises PreconditionError: the
+    certificate may be sound, but checking it costs too much.  Any other
     exception is a fault and propagates.  A True answer is a sound proof that
     value is not in the set."""
     try:
@@ -483,9 +518,9 @@ def verify_certificate(cert) -> bool:
             cert = certificate_from_dict(cert)
         K = DigitCantorSet(cert.base, cert.digits)
         require("exponent", cert.exponent, 0)
-        if cert.value < 0:
-            return False
-        num, den = cert.value.numerator, cert.value.denominator
-        return Fraction(num * _power_mod_den(cert.base, cert.exponent, den) % den, den) in K.largest_gap
     except PreconditionError:
         return False
+    if cert.value < 0:
+        return False
+    num, den = cert.value.numerator, cert.value.denominator
+    return Fraction(num * _power_mod_den(cert.base, cert.exponent, den) % den, den) in K.largest_gap

@@ -14,6 +14,7 @@ import qadic.certificates
 from qadic.cantor import DigitCantorSet, Gap
 from qadic.certificates import (
     _CRT_MIN_BITS,
+    MAX_POWER_COST,
     CongruenceWitness,
     _kernel_parts,
     _pow_prime_power,
@@ -27,6 +28,7 @@ from qadic.certificates import (
     make_certificate,
     verify_certificate,
 )
+from qadic.cli import main
 from qadic.rational import SMALL_PRIMES, PreconditionError, parse_rational
 
 K3_01 = DigitCantorSet(3, (0, 1))
@@ -505,6 +507,64 @@ def test_verify_crafted_4300_digit_denominator_fast():
         start = time.perf_counter()
         assert verify_certificate(claim.to_dict()) is expected
         assert time.perf_counter() - start < 1
+
+
+# certify --alpha 1/1 --q 3 --A 0,1 --primes 1000003 --k k: den = 1000003**k
+# has no prime below 2**10, so pow raises q to the whole exponent over all of
+# it; k = 300 costs 5978 * 5980 bits, k = 700 costs 13951 * 13953
+def _certify_big_prime(k, *extra):
+    return ["certify", "--alpha", "1/1", "--q", "3", "--A", "0,1", "--primes", "1000003", "--k", str(k), *extra]
+
+
+def test_power_cost_cap_keeps_k300_and_refuses_k700(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    assert main(_certify_big_prime(300, "--out", str(cert))) == 0
+    assert main(["verify", "--cert", str(cert)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"valid": True}
+    start = time.perf_counter()
+    assert main(_certify_big_prime(700)) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "MAX_POWER_COST" in captured.err
+
+
+def test_verify_of_a_crafted_costly_certificate_exits_2(capsys, tmp_path):
+    # the k = 700 certificate the certifier refuses, written by hand: the
+    # verifier refuses it by the cap, and does not call it invalid
+    data = {"value": f"1/{1000003**700}", "base": 3, "digits": [0, 1], "exponent": str(3**8802 + 5),
+            "residue": "3/4", "gap": K3_01.largest_gap.to_dict()}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["verify", "--cert", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "MAX_POWER_COST" in captured.err
+
+
+def test_power_cost_cap_on_a_prime_denominator():
+    # 1477! + 1 is a 4042-digit prime: nothing splits off it
+    den = math.factorial(1477) + 1
+    value = Fraction(1, den)
+    cert = ExclusionCertificate(value, 3, (0, 2), 10**4000, value, K3_02.largest_gap)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="MAX_POWER_COST"):
+        verify_certificate(cert.to_dict())
+    assert time.perf_counter() - start < 1
+    # within the cap, the same denominator is checked
+    assert isinstance(verify_certificate(_replace(cert, exponent=2**500)), bool)
+
+
+def test_certifier_refuses_what_the_verifier_refuses(monkeypatch):
+    # k = 318 is the first k past the cap on this input; made with the cap
+    # lifted, its certificate is refused by the verifier
+    with pytest.raises(PreconditionError, match="MAX_POWER_COST"):
+        make_certificate(1, K3_01, (1000003,), (318,))
+    monkeypatch.setattr(qadic.certificates, "MAX_POWER_COST", 10**9)
+    cert = make_certificate(1, K3_01, (1000003,), (318,))
+    monkeypatch.setattr(qadic.certificates, "MAX_POWER_COST", MAX_POWER_COST)
+    with pytest.raises(PreconditionError, match="MAX_POWER_COST"):
+        verify_certificate(cert)
 
 
 def test_witness_inputs_checked_on_a_cache_hit():
