@@ -37,7 +37,6 @@ from qadic.orders import (
     order_lcm,
     order_of_prime_power,
     order_stabilization,
-    product_stabilization,
 )
 from qadic.rational import (
     PreconditionError,
@@ -82,7 +81,6 @@ __all__ = [
     "order_lcm",
     "order_of_prime_power",
     "order_stabilization",
-    "product_stabilization",
     "PreconditionError",
     "euler_phi",
     "factorize",

@@ -435,8 +435,7 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     # to every p_j, so each prime f of the moduli divides its denominator
     # v_f(t_hat) + sum_j (k_j - r) * v_f(p_j) times
     num, den = value.numerator, value.denominator
-    # refuse what the verifier would refuse, by the verifier's split of den
-    _require_power_cost(exponent, den, _den_parts(q, den))
+    _den_parts(q, exponent, den)  # refuse what the verifier would refuse
     parts = _kernel_parts(q, t_hat, primes, [k - r for k in k_tuple])
     residue = Fraction(num * _power_by_parts(q, exponent, den, parts) % den, den)
     expected = Fraction(s_hat, t_hat * math.prod(p ** (k - r) for p, k in zip(primes, k_tuple))) + Fraction(
@@ -447,54 +446,41 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     return ExclusionCertificate(value, q, K.digits, exponent, residue, bound.gap)
 
 
-# The cost cap on a certificate's modular power, for certifier and verifier
-# alike: bits(e) times the bits of what is left of den after the verifier's
-# split (`_den_parts`), which pow raises to e itself.  At the cap that pow
-# takes about a second; the benchmark's certificates stay below 2.3e5.
+# The cap on bits(e) * bits(rest of den) in a certificate's modular power, on
+# both sides (`_den_parts`): pow takes about a second at the cap, while the
+# benchmark's certificates stay below 2.3e5.
 MAX_POWER_COST = 4 * 10**7
 
 
-def _den_parts(q: int, den: int) -> list[tuple[int, int]]:
-    """The verifier's split of den, from den alone: [(part, phi(part))].
+def _den_parts(q: int, e: int, den: int) -> tuple[int, list[tuple[int, int]]]:
+    """(rest, [(part, phi(part))]): the verifier's split of den, from den alone.
 
     Each prime r below 2**10 that divides den but not q gives the exact part
     r**v of den as gcd(den, r**E), for a power r**E past den; the parts above
-    _CRT_MIN_BITS bits are listed, none when den itself is no larger.  What
-    is left of den may hold any primes: nothing is factored."""
-    parts = []
+    _CRT_MIN_BITS bits are listed, none when den itself is no larger.  The
+    rest may hold any primes: nothing is factored.  Raises PreconditionError
+    when bits(e) * bits(rest) passes MAX_POWER_COST."""
+    rest, parts = den, []
     if den.bit_length() > _CRT_MIN_BITS:
         for r in SMALL_PRIMES:
             if den % r == 0 and q % r:
                 part = math.gcd(den, r ** (den.bit_length() // (r.bit_length() - 1) + 1))
                 if part.bit_length() > _CRT_MIN_BITS:
                     parts.append((part, part // r * (r - 1)))
-    return parts
-
-
-def _require_power_cost(e: int, den: int, parts) -> None:
-    """PreconditionError naming MAX_POWER_COST when bits(e) times the bits of
-    den with the parts taken out passes it."""
-    rest = den // math.prod(part for part, _ in parts)
-    cost = e.bit_length() * rest.bit_length()
-    if cost > MAX_POWER_COST:
-        raise PreconditionError(
-            f"a {e.bit_length()}-bit exponent over {rest.bit_length()} bits of denominator left unsplit "
-            f"costs {cost}, more than MAX_POWER_COST = {MAX_POWER_COST}"
-        )
+                    rest //= part
+    if e.bit_length() * rest.bit_length() > MAX_POWER_COST:
+        raise PreconditionError(f"bits(exponent) * bits(unsplit denominator) = {e.bit_length()} * "
+                                f"{rest.bit_length()} exceeds MAX_POWER_COST = {MAX_POWER_COST}")
+    return rest, parts
 
 
 def _power_mod_den(q: int, e: int, den: int) -> int:
     """pow(q, e, den), split by CRT from den alone; the verifier's own code.
 
     Each part of den (`_den_parts`) is powered with e reduced mod its phi,
-    the rest of den with e itself, after the cost cap
-    (`_require_power_cost`), and the results are joined by CRT; with no
-    parts, this is one pow over den."""
-    parts = _den_parts(q, den)
-    _require_power_cost(e, den, parts)
-    modulus = den
-    for part, _ in parts:
-        modulus //= part
+    the rest of den with e itself, and the results are joined by CRT; with
+    no parts, this is one pow over den."""
+    modulus, parts = _den_parts(q, e, den)
     x = pow(q, e, modulus)
     for part, phi in parts:
         x += modulus * ((pow(q, e % phi, part) - x) * pow(modulus, -1, part) % part)

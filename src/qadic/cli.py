@@ -131,11 +131,9 @@ def _config_doc(ns: argparse.Namespace) -> dict:
     return doc
 
 
-# json.dumps renders indented JSON with the pure-Python encoder.  Without
-# indent the C encoder runs, and with this separator it writes the items of
-# a list exactly as the indented form does at depth 1.  A list is encoded in
-# slices of _SLICE items, so the C encoder's chunk list for the whole list
-# never exists at once.
+# Indented json.dumps runs the pure-Python encoder.  The C encoder with this
+# separator writes a list's items as the indented form does at depth 1; it
+# gets _SLICE items at a time, so no chunk list of a whole long list is built.
 _encode_items = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 _SLICE = 2048
 _SCALARS = frozenset((str, int, bool, type(None)))

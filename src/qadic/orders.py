@@ -10,12 +10,10 @@ from qadic.rational import (
     euler_phi,
     factorize,
     is_prime,
-    modulus_list,
     require,
     require_coprime,
     require_printable,
     require_residues,
-    valuation,
 )
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "order_stabilization",
     "order_of_prime_power",
     "order_lcm",
-    "product_stabilization",
     "CosetDecomposition",
     "coset_decomposition",
     "orbit_of",
@@ -95,7 +92,8 @@ def order_stabilization(p: int, q: int) -> OrderStabilization:
 def order_of_prime_power(p: int, q: int, k: int) -> int:
     """ord of q modulo p**k, via the stabilization formula once k reaches k0."""
     require("k", k, 1)
-    return _order_of_prime_vector((p,), q, (k,), (_stabilization(p, q),))
+    k0, d2 = _stabilization(p, q)
+    return p ** (k - k0) * d2 if k >= k0 else mult_order(q, p**k)
 
 
 def order_lcm(a: int, m1: int, m2: int) -> int:
@@ -104,50 +102,6 @@ def order_lcm(a: int, m1: int, m2: int) -> int:
     n1 = mult_order(a, m1)
     n2 = mult_order(a, m2)
     return n1 // math.gcd(n1, n2) * n2
-
-
-def _order_of_prime_vector(primes, q, ks, stabs) -> int:
-    order = 1
-    for p, k, (k0, d2) in zip(primes, ks, stabs):
-        part = p ** (k - k0) * d2 if k >= k0 else mult_order(q, p**k)
-        order = order // math.gcd(order, part) * part
-    return order
-
-
-def product_stabilization(primes, q: int) -> int:
-    """The proof-grade exponent n0 past which orders along a multi-prime box scale exactly.
-
-    For all k_i >= n0, ord(q mod prod p_i**k_i) equals
-    prod p_i**(k_i - n0) * ord(q mod prod p_i**n0).  Returns the constant from
-    the stabilization argument (max r-exponent plus max k0), which need not be
-    minimal; the identity is verified internally on the {n0, n0+1} grid.
-    """
-    primes = modulus_list(primes)
-    for p in primes:  # every entry is checked before any order is computed
-        if not is_prime(p):
-            raise PreconditionError(f"p = {p} is not prime")
-    stabs = [_stabilization(p, q) for p in primes]
-    r_max = 0
-    for j, (_, d2) in enumerate(stabs):
-        for i, p in enumerate(primes):
-            # cross valuations only: the p_j part of its own order grows with
-            # k_j and is absorbed by the k0 threshold, not by the r matrix
-            if i != j:
-                r_max = max(r_max, valuation(d2, p))
-    n0 = r_max + max(k0 for k0, _ in stabs)
-    _verify_box_identity(primes, q, stabs, n0)
-    return n0
-
-
-def _verify_box_identity(primes, q, stabs, n0):
-    base = _order_of_prime_vector(primes, q, (n0,) * len(primes), stabs)
-    for pick in range(1 << len(primes)):
-        ks = tuple(n0 + (pick >> i & 1) for i in range(len(primes)))
-        expected = base
-        for p, k in zip(primes, ks):
-            expected *= p ** (k - n0)
-        if _order_of_prime_vector(primes, q, ks, stabs) != expected:
-            raise RuntimeError(f"internal: box identity fails at exponents {ks} for primes {primes}, q={q}")
 
 
 class CosetDecomposition(Record):

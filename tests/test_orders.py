@@ -13,7 +13,6 @@ from qadic.orders import (
     order_lcm,
     order_of_prime_power,
     order_stabilization,
-    product_stabilization,
 )
 from qadic.rational import PreconditionError, euler_phi, factorize
 
@@ -78,7 +77,6 @@ def test_orders_need_no_printable_b():
     # 10**12: neither is built, so the int-to-str limit does not apply
     assert order_of_prime_power(101, 3, 3) == 101 * 10100
     _assert_exact_order(3, 101**3, 101 * 10100)
-    assert product_stabilization((101,), 3) == 2
     start = time.perf_counter()
     n = order_of_prime_power(999983, 10, 3)
     assert time.perf_counter() - start < 1
@@ -125,20 +123,6 @@ def test_order_lcm_composition():
             for a in (2, 3, 7, 11, 19):
                 if math.gcd(a, m1 * m2) == 1:
                     assert order_lcm(a, m1, m2) == mult_order(a, m1 * m2)
-
-
-def test_product_stabilization_frozen():
-    assert product_stabilization((3,), 2) == 2
-    assert product_stabilization((7,), 10) == 2
-    n0 = product_stabilization((3, 5), 2)
-    base = mult_order(2, 15**n0)
-    for dk in (0, 1, 2):
-        for dj in (0, 1, 2):
-            assert mult_order(2, 3 ** (n0 + dk) * 5 ** (n0 + dj)) == 3**dk * 5**dj * base
-    with pytest.raises(PreconditionError):
-        product_stabilization((3, 3), 2)
-    with pytest.raises(PreconditionError):
-        product_stabilization((5,), 10)
 
 
 def test_coset_decomposition_frozen():

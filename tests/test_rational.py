@@ -16,7 +16,6 @@ from qadic.enumeration import (
     geometric_rows,
     lattice_rows,
 )
-from qadic.orders import product_stabilization
 from qadic.rational import (
     MAX_RESIDUES,
     MAX_RHO_STEPS,
@@ -202,7 +201,6 @@ def test_parse_and_format_round_trip():
 
 K5 = DigitCantorSet(5, (0, 1, 2))
 MODULUS_LIST_ENTRY_POINTS = {
-    "product_stabilization": lambda primes: product_stabilization(primes, 5),
     "congruence_witness": lambda primes: congruence_witness(5, 1, primes, 1, (40,) * len(primes)),
     "exclusion_bound": lambda primes: exclusion_bound(1, K5, primes),
     "make_certificate": lambda primes: make_certificate(1, K5, primes, (40,) * len(primes)),
