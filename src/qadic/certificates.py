@@ -435,7 +435,8 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     # to every p_j, so each prime f of the moduli divides its denominator
     # v_f(t_hat) + sum_j (k_j - r) * v_f(p_j) times
     num, den = value.numerator, value.denominator
-    _den_parts(q, exponent, den)  # refuse what the verifier would refuse
+    if exponent.bit_length() * den.bit_length() > MAX_POWER_COST:  # else no rest of den can pass it
+        _den_parts(q, exponent, den)  # refuse what the verifier would refuse
     parts = _kernel_parts(q, t_hat, primes, [k - r for k in k_tuple])
     residue = Fraction(num * _power_by_parts(q, exponent, den, parts) % den, den)
     expected = Fraction(s_hat, t_hat * math.prod(p ** (k - r) for p, k in zip(primes, k_tuple))) + Fraction(

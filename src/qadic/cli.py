@@ -145,20 +145,19 @@ def _json_text(doc) -> str:
     A dict with str keys whose values are scalars (None, bool, int, str) or
     lists of scalars is rendered here; any other shape, floats and int
     subclasses other than bool included, goes to json.dumps."""
-    if type(doc) is dict and all(type(key) is str for key in doc):
-        fields = []
-        for key, value in doc.items():
-            if type(value) in _SCALARS:
-                text = json.dumps(value)
-            elif type(value) is list and _SCALARS.issuperset(map(type, value)):
-                slices = (_encode_items(value[i:i + _SLICE])[1:-1] for i in range(0, len(value), _SLICE))
-                text = "[\n    " + ",\n    ".join(slices) + "\n  ]" if value else "[]"
-            else:
-                break
-            fields.append(f"{json.dumps(key)}: {text}")
+    if type(doc) is not dict or not all(
+        type(key) is str and (type(value) in _SCALARS or type(value) is list and _SCALARS.issuperset(map(type, value)))
+        for key, value in doc.items()
+    ):
+        return json.dumps(doc, indent=2) + "\n"
+    fields = []
+    for key, value in doc.items():
+        if type(value) is list and value:
+            slices = (_encode_items(value[i:i + _SLICE])[1:-1] for i in range(0, len(value), _SLICE))
+            fields.append(f"{json.dumps(key)}: [\n    " + ",\n    ".join(slices) + "\n  ]")
         else:
-            return "{\n  " + ",\n  ".join(fields) + "\n}\n" if fields else "{}\n"
-    return json.dumps(doc, indent=2) + "\n"
+            fields.append(f"{json.dumps(key)}: {json.dumps(value)}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n" if fields else "{}\n"
 
 
 def _csv_table(rows, q: int) -> str:
