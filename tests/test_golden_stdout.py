@@ -53,12 +53,8 @@ class Replay:
         return rc, text
 
 
-def digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def format_line(argv: list[str], rc: int, text: str) -> str:
-    return f"{rc} {digest(text)} {json.dumps(argv)}"
+    return f"{rc} {hashlib.sha256(text.encode()).hexdigest()[:16]} {json.dumps(argv)}"
 
 
 @contextlib.contextmanager
