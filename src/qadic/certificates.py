@@ -142,7 +142,9 @@ def congruence_witness(q: int, t: int, primes, h: int, k_tuple) -> CongruenceWit
 
     Every k_j must reach the internal threshold k0 (reported in the error if
     not), and the exponent must be printable (`require_printable`); the
-    congruence is rechecked by modular exponentiation before returning."""
+    congruence is rechecked by modular exponentiation before returning, and
+    a recheck whose power passes MAX_POWER_COST by the verifier's rule
+    (`_den_parts`) raises PreconditionError before it is taken."""
     primes = modulus_list(primes)
     k_tuple = tuple(k_tuple)
     b, k0, r_list, n0 = _witness_base(q, t, primes, h)
@@ -150,6 +152,9 @@ def congruence_witness(q: int, t: int, primes, h: int, k_tuple) -> CongruenceWit
         raise PreconditionError(f"k_tuple {list(k_tuple)} below the stabilization threshold k0 = {k0}")
     exponent = _witness_exponent("witness exponent", primes, k_tuple, r_list, n0)
     witness = CongruenceWitness(q, t, primes, h, b, k0, k_tuple, exponent)
+    modulus = witness.modulus()
+    if exponent.bit_length() * modulus.bit_length() > MAX_POWER_COST:  # else no rest of it can pass it
+        _den_parts(q, exponent, modulus)  # refuse a check that would cost past the cap
     if not witness.check():
         raise RuntimeError("internal: constructed witness fails its congruence")
     return witness

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from qadic import kernels
@@ -24,8 +25,12 @@ __all__ = [
 ]
 
 
-# value() folds runs of at most this many digits by Horner's rule.
-_HORNER_DIGITS = 48
+# value() reads runs of at most this many digits per leaf: the least int-to-str
+# limit Python accepts (sys.set_int_max_str_digits), so no limit refuses one.
+_LEAF_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
+
+# digit d as the ASCII character int(text, q) reads as d, for q <= 36
+_ALPHABET = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
 
 
 def _digits_int(digits, lo, hi, q):
@@ -33,10 +38,13 @@ def _digits_int(digits, lo, hi, q):
 
     Splits the run in halves, value(left) * q**len(right) + value(right), so
     the large multiplications have balanced operands and the whole costs
-    within a log factor of one multiplication of the result's size; Horner's
-    rule, quadratic in the length, serves only the short runs at the leaves.
+    within a log factor of one multiplication of the result's size.  A leaf
+    of at most _LEAF_DIGITS digits is read in C by int(text, q) when q <= 36,
+    and folded by Horner's rule otherwise.
     """
-    if hi - lo <= _HORNER_DIGITS:
+    if hi - lo <= _LEAF_DIGITS:
+        if q <= 36 and hi > lo:
+            return int(bytes(digits[lo:hi]).translate(_ALPHABET), q)
         acc = 0
         for d in digits[lo:hi]:
             acc = acc * q + d
@@ -78,7 +86,8 @@ class ExpansionQ(Record):
         require("base", self.base, 2)
         if not self.period:
             raise PreconditionError("empty period; terminating expansions use period (0,)")
-        require_digits(self.preperiod + self.period, self.base)
+        require_digits(self.preperiod, self.base)
+        require_digits(self.period, self.base)
         k = _repeated_block(self.period)
         if k:
             raise PreconditionError(f"period {self.period} repeats a block of length {k}")

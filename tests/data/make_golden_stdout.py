@@ -23,7 +23,7 @@ ROOT = HERE.parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import jobs  # noqa: E402
-from test_golden_stdout import DATA, Replay, default_int_str_limit, format_line  # noqa: E402
+from test_golden_stdout import DATA, INT_STR_LIMIT, Replay, format_line  # noqa: E402
 
 SEEDS = (1, 2, 3)
 ROUNDS = 2
@@ -74,7 +74,8 @@ def commands(replay: Replay):
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp, default_int_str_limit():
+    sys.set_int_max_str_digits(INT_STR_LIMIT)
+    with tempfile.TemporaryDirectory() as tmp:
         lines = [format_line(argv, rc, text) for argv, rc, text in commands(Replay(Path(tmp)))]
     DATA.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{DATA.relative_to(ROOT)}: {len(lines)} commands", file=sys.stderr)

@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import random
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -567,6 +566,27 @@ def test_certifier_refuses_what_the_verifier_refuses(monkeypatch):
         verify_certificate(cert)
 
 
+# witness --q 3 --t 1 --primes 1000003 --h 1 --k k: the check's modulus
+# 1000003**(k+1) has no prime below 2**10, so pow raises q to the whole
+# exponent over all of it; k = 316 costs 6299 * 6319 bits, k = 700 costs
+# 13953 * 13973, and the check took 6.8 s before the cap; --primes 2 --k
+# 14000 is past the cap too, but 2**14002 splits off whole, and it still
+# runs (test_cli.test_witness_and_certify_at_the_exponent_edge)
+def _witness_big_prime(k):
+    return ["witness", "--q", "3", "--t", "1", "--primes", "1000003", "--h", "1", "--k", str(k)]
+
+
+def test_witness_power_cost_cap_keeps_k316_and_refuses_k317(capsys):
+    assert main(_witness_big_prime(316)) == 0
+    assert json.loads(capsys.readouterr().out)["k_tuple"] == [316]
+    for k in (317, 700):
+        start = time.perf_counter()
+        assert main(_witness_big_prime(k)) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "MAX_POWER_COST" in captured.err
+
+
 def test_witness_inputs_checked_on_a_cache_hit():
     # the witness cache is warm for these values; equal values of another
     # type must still be rejected, not served from the cache
@@ -576,18 +596,14 @@ def test_witness_inputs_checked_on_a_cache_hit():
             congruence_witness(q, t, primes, h, (3,))
 
 
-def test_certificate_exponent_past_int_str_limit_rejected():
+def test_certificate_exponent_past_int_str_limit_rejected(int_str_limit):
     # at a limit of 640 digits, k = 2100 gives a 632-digit exponent and
     # k = 2200 a 662-digit one, which could not be written out
-    old = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(640)
-        cert = make_certificate(1, K3_01, (2,), (2100,))
-        assert len(cert.to_dict()["exponent"]) == 632
-        with pytest.raises(PreconditionError, match="more than 640 decimal digits"):
-            make_certificate(1, K3_01, (2,), (2200,))
-    finally:
-        sys.set_int_max_str_digits(old)
+    int_str_limit(640)
+    cert = make_certificate(1, K3_01, (2,), (2100,))
+    assert len(cert.to_dict()["exponent"]) == 632
+    with pytest.raises(PreconditionError, match="more than 640 decimal digits"):
+        make_certificate(1, K3_01, (2,), (2200,))
 
 
 def test_certificate_dict_round_trip():

@@ -85,7 +85,7 @@ def test_certify_exponent_past_int_str_limit_fails_fast(capsys):
         assert "certificate exponent has more than 4300 decimal digits" in err
 
 
-def test_euclid_at_the_int_str_limit(capsys):
+def test_euclid_at_the_int_str_limit(capsys, int_str_limit):
     # 3**9012 - 1 has 4300 digits and 3**9013 - 1 has 4301; 10**4300 - 1
     # has 4300; the check comes before q**k is built
     for q, k, code_expected in (("3", "9000", 0), ("3", "9011", 0), ("3", "9012", 2), ("10", "4299", 0),
@@ -98,12 +98,8 @@ def test_euclid_at_the_int_str_limit(capsys):
             assert out == "" and "denominator q**(k+1) - 1 has more than 4300 decimal digits" in err
         else:
             assert json.loads(out)["check"] is True
-    old = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(0)
-        code, out, _ = run_cli(capsys, "euclid", "--q", "3", "--k", "9012")
-    finally:
-        sys.set_int_max_str_digits(old)
+    int_str_limit(0)
+    code, out, _ = run_cli(capsys, "euclid", "--q", "3", "--k", "9012")
     assert code == 0 and len(json.loads(out)["x"].split("/")[1]) == 4301
 
 
@@ -186,45 +182,37 @@ def test_unprintable_stabilization_fails_fast(capsys, tmp_path):
     assert not out_path.exists()
 
 
-def test_stabilization_without_int_str_limit(capsys):
+def test_stabilization_without_int_str_limit(capsys, int_str_limit):
     # with the limit disabled, b for p=101, q=3 prints in full
-    old = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(0)
-        code, out, _ = run_cli(capsys, "stabilize", "--p", "101", "--q", "3")
-        data = json.loads(out)
-    finally:
-        sys.set_int_max_str_digits(old)
+    int_str_limit(0)
+    code, out, _ = run_cli(capsys, "stabilize", "--p", "101", "--q", "3")
+    data = json.loads(out)
     assert code == 0
     assert (data["k0"], data["order"]) == (2, 10100)
     assert data["b"] * 101**2 == 3**10100 - 1
 
 
-def test_no_int_str_limit_falls_back_to_a_cap(capsys):
+def test_no_int_str_limit_falls_back_to_a_cap(capsys, int_str_limit):
     # with the limit disabled, q**ord for p=999983 would have about 10**12
     # digits, and the exponents of witness and certify grow with k; past
     # MAX_PRINT_DIGITS = 10**4 digits each exits 2 before the number is built
-    old = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(0)
-        for argv, what in (
-            (("stabilize", "--p", "999983", "--q", "10"), "stabilization b"),
-            (("stabilize", "--p", "999983", "--q", "2"), "stabilization b"),
-            (("witness", "--q", "3", "--t", "1", "--primes", "2", "--h", "2", "--k", "40000"), "witness exponent"),
-            (("witness", "--q", "3", "--t", "1", "--primes", "2", "--h", "2", "--k", "1000000000"),
-             "witness exponent"),
-            (("certify", "--alpha", "1", "--q", "3", "--A", "0,1", "--primes", "2", "--k", "40000"),
-             "certificate exponent"),
-            (("euclid", "--q", "10", "--k", "10000"), "euclid denominator q**(k+1) - 1"),
-        ):
-            start = time.perf_counter()
-            code, out, err = run_cli(capsys, *argv)
-            assert time.perf_counter() - start < 1
-            assert (code, out) == (2, "")
-            assert f"{what} has more than 10000 decimal digits, MAX_PRINT_DIGITS" in err
-        code, out, _ = run_cli(capsys, "euclid", "--q", "10", "--k", "9998")
-    finally:
-        sys.set_int_max_str_digits(old)
+    int_str_limit(0)
+    for argv, what in (
+        (("stabilize", "--p", "999983", "--q", "10"), "stabilization b"),
+        (("stabilize", "--p", "999983", "--q", "2"), "stabilization b"),
+        (("witness", "--q", "3", "--t", "1", "--primes", "2", "--h", "2", "--k", "40000"), "witness exponent"),
+        (("witness", "--q", "3", "--t", "1", "--primes", "2", "--h", "2", "--k", "1000000000"),
+         "witness exponent"),
+        (("certify", "--alpha", "1", "--q", "3", "--A", "0,1", "--primes", "2", "--k", "40000"),
+         "certificate exponent"),
+        (("euclid", "--q", "10", "--k", "10000"), "euclid denominator q**(k+1) - 1"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert f"{what} has more than 10000 decimal digits, MAX_PRINT_DIGITS" in err
+    code, out, _ = run_cli(capsys, "euclid", "--q", "10", "--k", "9998")
     assert code == 0 and len(json.loads(out)["x"].split("/")[1]) == 9999
 
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from qadic import expansion
 from qadic.expansion import (
     ExpansionQ,
     alternate_expansion,
@@ -139,19 +138,30 @@ def _random_expansion(rng, q, v, n):
     return ExpansionQ(q, tuple(pre), period)
 
 
-def test_value_matches_horner():
-    rng = random.Random(920)
-    h = expansion._HORNER_DIGITS
-    lengths = (0, 1, 2, h - 1, h, h + 1, 2 * h, 2 * h + 1, 4 * h + 3, 10_000)
-    for q in (2, 3, 10, 257):
-        for length in lengths:
-            for v, n in ((length, 1), (0, max(length, 1)), (length, max(length, 1))):
-                e = _random_expansion(rng, q, v, n)
-                assert e.value() == _horner_value(e), (q, v, n)
-        # every digit at its largest: carries cross each split
-        for length in lengths[1:]:
-            e = ExpansionQ(q, (q - 1,) * length, (q - 1,) * (length - 1) + (0,))
-            assert e.value() == _horner_value(e)
+def test_value_matches_horner(int_str_limit):
+    # leaves of 640 digits read by int(text, q) pass the least int-to-str
+    # limit Python accepts; a longer leaf fails here in every base but 2
+    lengths = (0, 1, 639, 640, 641, 1279, 1280, 1281, 10_000)
+    for limit in (640, 0):
+        int_str_limit(limit)
+        rng = random.Random(920)
+        for q in (2, 3, 10, 36, 37, 257):
+            for length in lengths:
+                for v, n in ((length, 1), (0, max(length, 1)), (length, max(length, 1))):
+                    e = _random_expansion(rng, q, v, n)
+                    assert e.value() == _horner_value(e), (limit, q, v, n)
+            # every digit at its largest: carries cross each split
+            for length in lengths[1:]:
+                e = ExpansionQ(q, (q - 1,) * length, (q - 1,) * (length - 1) + (0,))
+                assert e.value() == _horner_value(e), (limit, q, length)
+
+
+@pytest.mark.parametrize("limit", [640, 0])
+@pytest.mark.parametrize("q", [2, 3, 10])
+def test_value_round_trip_of_a_long_period(int_str_limit, limit, q):
+    int_str_limit(limit)
+    x = Fraction(1, 50021)
+    assert expand(x, q).value() == x
 
 
 def _block_error(period):

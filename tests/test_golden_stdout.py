@@ -21,7 +21,6 @@ import hashlib
 import io
 import json
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -57,24 +56,14 @@ def format_line(argv: list[str], rc: int, text: str) -> str:
     return f"{rc} {hashlib.sha256(text.encode()).hexdigest()[:16]} {json.dumps(argv)}"
 
 
-@contextlib.contextmanager
-def default_int_str_limit():
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(INT_STR_LIMIT)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
-def test_stdout_matches_the_golden_file(tmp_path):
+def test_stdout_matches_the_golden_file(tmp_path, int_str_limit):
     lines = DATA.read_text(encoding="utf-8").splitlines()
     assert len(lines) > 500
     replay = Replay(tmp_path)
-    with default_int_str_limit():
-        for number, line in enumerate(lines, 1):
-            argv = json.loads(line.split(" ", 2)[2])
-            got = format_line(argv, *replay(argv))
-            if got != line:
-                pytest.fail(f"line {number} of {DATA.name}: {' '.join(argv)[:160]}\n"
-                            f"  expected {line[:60]}\n  got      {got[:60]}")
+    int_str_limit(INT_STR_LIMIT)
+    for number, line in enumerate(lines, 1):
+        argv = json.loads(line.split(" ", 2)[2])
+        got = format_line(argv, *replay(argv))
+        if got != line:
+            pytest.fail(f"line {number} of {DATA.name}: {' '.join(argv)[:160]}\n"
+                        f"  expected {line[:60]}\n  got      {got[:60]}")

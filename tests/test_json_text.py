@@ -3,7 +3,6 @@
 import enum
 import json
 import random
-import sys
 import tracemalloc
 import types
 
@@ -124,16 +123,12 @@ def test_lists_at_the_slice_edges(n):
 
 
 @pytest.mark.parametrize("doc", [{"b": 10**5000}, {"b": [1] * 3000 + [10**5000]}])
-def test_int_past_the_str_limit_raises_as_json_dumps_does(doc):
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        with pytest.raises(ValueError) as expected:
-            reference(doc)
-        with pytest.raises(ValueError) as got:
-            cli._json_text(doc)
-    finally:
-        sys.set_int_max_str_digits(old)
+def test_int_past_the_str_limit_raises_as_json_dumps_does(doc, int_str_limit):
+    int_str_limit(4300)
+    with pytest.raises(ValueError) as expected:
+        reference(doc)
+    with pytest.raises(ValueError) as got:
+        cli._json_text(doc)
     assert type(got.value) is type(expected.value) and str(got.value) == str(expected.value)
 
 
