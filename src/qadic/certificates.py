@@ -21,6 +21,7 @@ from qadic.rational import (
     SMALL_PRIMES,
     PreconditionError,
     Record,
+    _require_points,
     euler_phi,
     factorize,
     format_rational,
@@ -120,9 +121,10 @@ class CongruenceWitness(Record):
 
     def check(self) -> bool:
         """Re-run the defining congruence by modular exponentiation, split by
-        the primes of the moduli (`_power_by_parts`)."""
-        parts = _kernel_parts(self.q, self.t, self.primes, [k + self.h for k in self.k_tuple])
-        return _power_by_parts(self.q, self.exponent, self.modulus(), parts) == self.target()
+        the primes of the moduli; a power past MAX_POWER_COST raises
+        PreconditionError before it is taken (`_power_by_parts`)."""
+        exponents = [k + self.h for k in self.k_tuple]
+        return _power_by_parts(self.q, self.exponent, self.modulus(), self.t, self.primes, exponents) == self.target()
 
     def to_dict(self) -> dict:
         return {
@@ -143,8 +145,8 @@ def congruence_witness(q: int, t: int, primes, h: int, k_tuple) -> CongruenceWit
     Every k_j must reach the internal threshold k0 (reported in the error if
     not), and the exponent must be printable (`require_printable`); the
     congruence is rechecked by modular exponentiation before returning, and
-    a recheck whose power passes MAX_POWER_COST by the verifier's rule
-    (`_den_parts`) raises PreconditionError before it is taken."""
+    a recheck whose power passes MAX_POWER_COST (`CongruenceWitness.check`)
+    raises PreconditionError before it is taken."""
     primes = modulus_list(primes)
     k_tuple = tuple(k_tuple)
     b, k0, r_list, n0 = _witness_base(q, t, primes, h)
@@ -152,9 +154,6 @@ def congruence_witness(q: int, t: int, primes, h: int, k_tuple) -> CongruenceWit
         raise PreconditionError(f"k_tuple {list(k_tuple)} below the stabilization threshold k0 = {k0}")
     exponent = _witness_exponent("witness exponent", primes, k_tuple, r_list, n0)
     witness = CongruenceWitness(q, t, primes, h, b, k0, k_tuple, exponent)
-    modulus = witness.modulus()
-    if exponent.bit_length() * modulus.bit_length() > MAX_POWER_COST:  # else no rest of it can pass it
-        _den_parts(q, exponent, modulus)  # refuse a check that would cost past the cap
     if not witness.check():
         raise RuntimeError("internal: constructed witness fails its congruence")
     return witness
@@ -233,7 +232,9 @@ def exclusion_bound(alpha, K: DigitCantorSet, primes, scan_empirical: bool = Tru
     denominator to the base; take the largest gap (x, y) of length g; choose
     minimal h with 2**h > 1/g; split the witness residue b into b_hat/p_hat;
     choose the smallest m with x < m/p_hat < y; then the minimal k_alpha with
-    k_alpha >= k0 + 2h whose tail drops below y - m/p_hat."""
+    k_alpha >= k0 + 2h whose tail drops below y - m/p_hat.  The empirical
+    scan of alpha / P**k for k = 0..k_alpha is capped as geometric_rows caps
+    the ratio 1/P (MAX_POINTS, MAX_SCAN_BITS), before it starts."""
     primes = modulus_list(primes)
     q = K.base
     P = math.prod(primes)
@@ -256,11 +257,15 @@ def exclusion_bound(alpha, K: DigitCantorSet, primes, scan_empirical: bool = Tru
         raise RuntimeError(f"internal: no multiple of 1/{p_hat} strictly inside the gap")
     limit = gap.right - Fraction(m, p_hat)
     k = k0 + 2 * h
-    while Fraction(s_hat, t_hat * P**k) >= limit:
+    # while s_hat / (t_hat * P**k) >= limit, compared in integers
+    tail, target = t_hat * limit.numerator * P**k, s_hat * limit.denominator
+    while tail <= target:
+        tail *= P
         k += 1
     k_alpha = k + r
     empirical_k = None
     if scan_empirical:
+        _require_points("k_alpha", k_alpha + 1, P.bit_length() * k_alpha * (k_alpha + 1) // 2)
         last = -1
         for kk in range(k_alpha + 1):
             value = alpha / P**kk
@@ -378,24 +383,21 @@ def _pow_prime_power(q: int, e: int, r: int, v: int) -> int:
     return head * (_horner(falling, y, r, t, v + k) // r**k * unit) % m
 
 
-def _kernel_parts(q: int, t: int, primes, exponents) -> list[tuple[int, int]]:
-    """[(r, v)]: the exact power r**v in t * prod(p_j**k_j), for the exponents
-    k_j, of each prime r of SMALL_PRIMES that divides a modulus but not q and
-    whose part r**v has more than _CRT_MIN_BITS bits.  These parts go to
-    _pow_prime_power, so the moduli need no factoring beyond SMALL_PRIMES."""
+def _power_by_parts(q: int, e: int, den: int, t: int, primes, exponents) -> int:
+    """pow(q, e, den), for a den whose part prime to q is t * prod(p_j**k_j),
+    k_j the exponents; past MAX_POWER_COST by the verifier's rule
+    (`_den_parts`) it raises PreconditionError before any power.  Each part
+    r**v of den above _CRT_MIN_BITS bits, r in SMALL_PRIMES dividing a modulus
+    but not q, is powered by _pow_prime_power, the rest of den by pow with e
+    itself, and the residues are joined by CRT."""
+    if e.bit_length() * den.bit_length() > MAX_POWER_COST:  # else no rest of den can pass it
+        _den_parts(q, e, den)
     parts = []
     for r in SMALL_PRIMES:
         if q % r and any(p % r == 0 for p in primes):
             v = valuation(t, r) + sum(k * valuation(p, r) for p, k in zip(primes, exponents))
             if (r**v).bit_length() > _CRT_MIN_BITS:
                 parts.append((r, v))
-    return parts
-
-
-def _power_by_parts(q: int, e: int, den: int, parts) -> int:
-    """pow(q, e, den), each part r**v of den named in parts (`_kernel_parts`)
-    powered by _pow_prime_power, the rest of den by pow with e itself, and
-    the residues joined by CRT."""
     modulus = den // math.prod(r**v for r, v in parts)
     x = pow(q, e, modulus)
     for r, v in parts:
@@ -414,9 +416,9 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     exponent past the int-to-str limit raises PreconditionError
     (`require_printable`), before it is built where a lower bound shows it.
     The power that shifts the value splits its denominator by the primes of
-    the moduli (`_kernel_parts`, `_power_by_parts`).  A certificate whose
-    check would pass MAX_POWER_COST raises PreconditionError before that
-    power is taken, so every certificate made here can be verified."""
+    the moduli (`_power_by_parts`), and raises PreconditionError before it
+    is taken where the verifier would pass MAX_POWER_COST, so every
+    certificate made here can be verified."""
     alpha = require_rational("alpha", alpha)
     primes = modulus_list(primes)
     k_tuple = tuple(k_tuple)
@@ -440,10 +442,7 @@ def make_certificate(alpha, K: DigitCantorSet, primes, k_tuple) -> ExclusionCert
     # to every p_j, so each prime f of the moduli divides its denominator
     # v_f(t_hat) + sum_j (k_j - r) * v_f(p_j) times
     num, den = value.numerator, value.denominator
-    if exponent.bit_length() * den.bit_length() > MAX_POWER_COST:  # else no rest of den can pass it
-        _den_parts(q, exponent, den)  # refuse what the verifier would refuse
-    parts = _kernel_parts(q, t_hat, primes, [k - r for k in k_tuple])
-    residue = Fraction(num * _power_by_parts(q, exponent, den, parts) % den, den)
+    residue = Fraction(num * _power_by_parts(q, exponent, den, t_hat, primes, [k - r for k in k_tuple]) % den, den)
     expected = Fraction(s_hat, t_hat * math.prod(p ** (k - r) for p, k in zip(primes, k_tuple))) + Fraction(
         bound.m, bound.p_hat
     )
@@ -475,7 +474,7 @@ def _den_parts(q: int, e: int, den: int) -> tuple[int, list[tuple[int, int]]]:
                     parts.append((part, part // r * (r - 1)))
                     rest //= part
     if e.bit_length() * rest.bit_length() > MAX_POWER_COST:
-        raise PreconditionError(f"bits(exponent) * bits(unsplit denominator) = {e.bit_length()} * "
+        raise PreconditionError(f"bits(exponent) * bits(unsplit modulus) = {e.bit_length()} * "
                                 f"{rest.bit_length()} exceeds MAX_POWER_COST = {MAX_POWER_COST}")
     return rest, parts
 

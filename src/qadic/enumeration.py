@@ -18,9 +18,11 @@ from qadic.cantor import DigitCantorSet
 from qadic.certificates import ExclusionBound, exclusion_bound
 from qadic.expansion import ExpansionQ, digit_set, expand
 from qadic.rational import (
+    MAX_POINTS,
     MAX_RESIDUES,
     PreconditionError,
     Record,
+    _require_points,
     format_rational,
     modulus_list,
     require,
@@ -41,8 +43,6 @@ __all__ = [
     "all_digits_onset",
     "euclid_witness",
     "mult_dependence",
-    "MAX_POINTS",
-    "MAX_SCAN_BITS",
 ]
 
 
@@ -80,26 +80,6 @@ def _check_scale(alpha, ratio=None) -> tuple[Fraction, Fraction | None]:
         if not 0 < ratio < 1:
             raise PreconditionError(f"ratio = {ratio}; need 0 < ratio < 1")
     return alpha, ratio
-
-
-# Most points a geometric or lattice scan evaluates: 10**5, a hundred times
-# the benchmark's largest scan, checked before any point is listed.
-MAX_POINTS = 10**5
-
-# Most denominator bits a geometric or lattice scan may sum over its points,
-# a bound on its time, which grows with the size of each point: about eleven
-# times the largest sum of the benchmark's scans (911,248 bits).  Checked
-# with MAX_POINTS, from the closed forms in geometric_rows and lattice_rows.
-MAX_SCAN_BITS = 10**7
-
-
-def _require_points(what: str, n: int, den_bits: int):
-    if n > MAX_POINTS:
-        raise PreconditionError(f"{what} gives more than MAX_POINTS = {MAX_POINTS} points")
-    if den_bits > MAX_SCAN_BITS:
-        raise PreconditionError(
-            f"{what} gives denominators of {den_bits} bits in all, more than MAX_SCAN_BITS = {MAX_SCAN_BITS}"
-        )
 
 
 def _geo_point(alpha, ratio, K, k):

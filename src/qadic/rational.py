@@ -42,6 +42,8 @@ __all__ = [
     "int_str_limit",
     "require_printable",
     "MAX_RESIDUES",
+    "MAX_POINTS",
+    "MAX_SCAN_BITS",
     "MAX_DIGITS",
     "MAX_PRINT_DIGITS",
     "MAX_RHO_STEPS",
@@ -212,6 +214,27 @@ def require_residues(name: str, n: int) -> int:
     if n > MAX_RESIDUES:
         raise PreconditionError(f"{name} exceeds MAX_RESIDUES = {MAX_RESIDUES}, the cap on one-byte-per-residue tables")
     return n
+
+
+# Most points a geometric or lattice scan evaluates (`enumeration`, and the
+# empirical scan of `exclusion_bound`): 10**5, a hundred times the
+# benchmark's largest scan, checked before any point is listed.
+MAX_POINTS = 10**5
+
+# Most denominator bits a geometric or lattice scan may sum over its points,
+# a bound on its time, which grows with the size of each point: about eleven
+# times the largest sum of the benchmark's scans (911,248 bits).  Checked
+# with MAX_POINTS, from the closed forms in geometric_rows and lattice_rows.
+MAX_SCAN_BITS = 10**7
+
+
+def _require_points(what: str, n: int, den_bits: int):
+    if n > MAX_POINTS:
+        raise PreconditionError(f"{what} gives more than MAX_POINTS = {MAX_POINTS} points")
+    if den_bits > MAX_SCAN_BITS:
+        raise PreconditionError(
+            f"{what} gives denominators of {den_bits} bits in all, more than MAX_SCAN_BITS = {MAX_SCAN_BITS}"
+        )
 
 
 # Longest period a digit walk lists (`kernels.digit_cycle`): a million digits,

@@ -15,7 +15,6 @@ from qadic.certificates import (
     _CRT_MIN_BITS,
     MAX_POWER_COST,
     CongruenceWitness,
-    _kernel_parts,
     _pow_prime_power,
     _power_by_parts,
     _power_mod_den,
@@ -171,6 +170,18 @@ def test_exclusion_bound_geometry():
         assert 2**bd.h * g > 1 >= 2 ** (bd.h - 1) * g
         assert bd.gap.left < Fraction(bd.m, bd.p_hat) < bd.gap.right
         assert bd.k_alpha >= bd.k0 + 2 * bd.h + bd.reduction_r
+
+
+def test_exclusion_bound_search_on_a_large_numerator():
+    # alpha = 10**4000 - 1 (r = 0) needs 13290 - k0 - 2h steps of the k
+    # search, which took about 3 s when each step built a Fraction
+    alpha = 10**4000 - 1
+    start = time.perf_counter()
+    bd = exclusion_bound(alpha, K3_01, (2,), scan_empirical=False)
+    assert time.perf_counter() - start < 1
+    assert (bd.reduction_r, bd.k_alpha) == (0, 13290)
+    limit = bd.gap.right - Fraction(bd.m, bd.p_hat)
+    assert Fraction(alpha, 2**13290) < limit <= Fraction(alpha, 2**13289)
 
 
 def test_certificate_frozen():
@@ -360,8 +371,7 @@ def test_split_power_matches_pow():
         e = rng.randrange(2 ** rng.randint(1, den.bit_length() + 64))
         expected = pow(q, e, den)
         assert _power_mod_den(q, e, den) == expected
-        parts = _kernel_parts(q, cofactor, *zip(*prime_powers))
-        assert _power_by_parts(q, e, den, parts) == expected
+        assert _power_by_parts(q, e, den, cofactor, *zip(*prime_powers)) == expected
 
 
 def _kernel_cases(rng, r, v):
@@ -431,10 +441,11 @@ def test_split_threshold(monkeypatch):
         for cofactor in (1, 3 * 1013):
             den = 2**v2 * 5**v5 * cofactor
             expected = pow(3, e, den)
-            parts = _kernel_parts(3, cofactor, (2, 5), (v2, v5))
             single = v2 == 255 and v5 <= 110
-            assert (parts == []) == single
-            for power in (lambda: _power_mod_den(3, e, den), lambda: _power_by_parts(3, e, den, parts)):
+            for power in (
+                lambda: _power_mod_den(3, e, den),
+                lambda: _power_by_parts(3, e, den, cofactor, (2, 5), (v2, v5)),
+            ):
                 moduli.clear()
                 assert power() == expected
                 assert (moduli == [den]) == single
@@ -585,6 +596,18 @@ def test_witness_power_cost_cap_keeps_k316_and_refuses_k317(capsys):
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert captured.out == "" and "MAX_POWER_COST" in captured.err
+        assert "denominator" not in captured.err
+
+
+def test_hand_built_witness_check_is_capped():
+    # the k = 700 witness that congruence_witness refuses, built by hand:
+    # check() applies the cap itself, where it took about 6 s before
+    b, k0, r_list, n0 = _witness_base(3, 1, (1000003,), 1)
+    witness = CongruenceWitness(3, 1, (1000003,), 1, b, k0, (700,), n0 * 1000003 ** (700 - r_list[0]))
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="MAX_POWER_COST"):
+        witness.check()
+    assert time.perf_counter() - start < 1
 
 
 def test_witness_inputs_checked_on_a_cache_hit():

@@ -419,12 +419,15 @@ def test_witness_and_certify_at_the_exponent_edge(capsys):
          "MAX_SCAN_BITS = 10000000"),
         (("enumerate", "--alpha", "1", "--q", "10", "--A", "0,1,2,3,4,5,6,7,8", "--primes", "2,5", "--box", "300"),
          "MAX_SCAN_BITS = 10000000"),
+        (("bound", "--alpha", str(10**4000 - 1), "--q", "3", "--A", "0,1", "--primes", "2"),
+         "MAX_SCAN_BITS = 10000000"),
     ],
 )
 def test_input_sized_walks_fail_fast(capsys, argv, cap):
     # a period of up to 10**9 digits, or 10**9 and 10**10 points, each once
     # held in a list: no answer in 15 s, 70 MB of stdout, or a MemoryError;
-    # or a legal number of points whose denominators sum to far past MAX_SCAN_BITS
+    # or a legal number of points whose denominators sum to far past
+    # MAX_SCAN_BITS, such as bound's scan to k_alpha = 13290, which took 4.6 s
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1

@@ -7,11 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from qadic import enumeration
+from qadic import rational
 from qadic.cantor import DigitCantorSet
 from qadic.enumeration import (
-    MAX_POINTS,
-    MAX_SCAN_BITS,
     all_digits_onset,
     dp_intersection,
     euclid_witness,
@@ -21,7 +19,7 @@ from qadic.enumeration import (
     lattice_rows,
     mult_dependence,
 )
-from qadic.rational import PreconditionError
+from qadic.rational import MAX_POINTS, MAX_SCAN_BITS, PreconditionError
 
 K3_01 = DigitCantorSet(3, (0, 1))
 K3_02 = DigitCantorSet(3, (0, 2))
@@ -313,7 +311,7 @@ def test_all_digits_onset_capped(monkeypatch):
         with pytest.raises(PreconditionError, match="MAX_SCAN_BITS"):
             all_digits_onset(1, Fraction(1, 2), 10, k_max)
     assert time.perf_counter() - start < 1
-    monkeypatch.setattr(enumeration, "MAX_SCAN_BITS", 110)
+    monkeypatch.setattr(rational, "MAX_SCAN_BITS", 110)
     assert all_digits_onset(1, Fraction(1, 2), 3, 10) == 4  # 2 * 10 * 11 / 2 = 110 bits
     with pytest.raises(PreconditionError, match="MAX_SCAN_BITS = 110"):
         all_digits_onset(1, Fraction(1, 2), 3, 11)
@@ -448,7 +446,7 @@ def test_scan_bit_cap_from_closed_forms(monkeypatch):
         geometric_rows(1, Fraction(1, 2), K3_01, 3162)  # 10,001,406 bits
     with pytest.raises(PreconditionError, match="MAX_SCAN_BITS"):
         exceptional_lattice(1, (2, 3), K3_01, 171)  # 10,117,728 bits
-    monkeypatch.setattr(enumeration, "MAX_SCAN_BITS", 110)
+    monkeypatch.setattr(rational, "MAX_SCAN_BITS", 110)
     assert len(geometric_rows(1, Fraction(1, 2), K3_01, 10)) == 11  # 2 * 10 * 11 / 2 = 110 bits
     assert len(geometric_rows(1, Fraction(2, 3), K3_01, 10)) == 11
     for ratio in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)):

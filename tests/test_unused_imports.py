@@ -1,7 +1,9 @@
-"""No module under src/qadic or tests imports a name it never reads, and no
-module-level private name in src/qadic goes unread by the package."""
+"""No module under src/qadic or tests imports a name it never reads, no
+module-level private name in src/qadic goes unread by the package, and every
+module-level MAX_* cap in src/qadic is named by a PreconditionError message."""
 
 import ast
+import re
 from pathlib import Path
 
 import qadic
@@ -90,3 +92,54 @@ def test_no_unread_private_names():
     files = sorted(ROOTS[0].glob("*.py"))
     assert len(files) >= 10
     assert _unread_private_names({f.name: f.read_text() for f in files}) == []
+
+
+def _unnamed_caps(sources):
+    """Sorted (module, name) for each module-level MAX_* constant of the
+    sources, a dict of module name to source, that no PreconditionError
+    message of them names.  A message is the string literals of a raise of
+    PreconditionError, and those assigned in a function that has one (a
+    message built from parts); docstrings and other errors do not count."""
+    caps, messages = [], []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                caps += [(module, t.id) for t in node.targets if isinstance(t, ast.Name) and t.id.startswith("MAX_")]
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            raises = [
+                node for node in ast.walk(func)
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "PreconditionError"
+            ]
+            if raises:
+                parts = raises + [node.value for node in ast.walk(func) if isinstance(node, ast.Assign)]
+                messages += [
+                    node.value for part in parts for node in ast.walk(part)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                ]
+    text = "\n".join(messages)
+    return sorted(cap for cap in caps if not re.search(rf"\b{cap[1]}\b", text))
+
+
+def test_cap_guard_flags_each_unnamed_form():
+    source = (
+        "MAX_A = 1\nMAX_B = 2\nMAX_C = 3\nMAX_D = 4\nMAX_E = MAX_EXTRA = 5\n"
+        "def f(n):\n"
+        "    '''MAX_C'''\n"
+        "    if n > MAX_A:\n"
+        "        raise PreconditionError(f'n exceeds MAX_A = {MAX_A}')\n"
+        "    cap = 'MAX_B, the cap'\n"
+        "    raise PreconditionError(cap)\n"
+        "def g():\n"
+        "    raise ValueError('MAX_D MAX_EXTRA')\n"
+    )
+    assert _unnamed_caps({"a": source}) == [("a", "MAX_C"), ("a", "MAX_D"), ("a", "MAX_E"), ("a", "MAX_EXTRA")]
+
+
+def test_every_cap_is_named_by_an_error():
+    sources = {f.name: f.read_text() for f in sorted(ROOTS[0].glob("*.py"))}
+    assert sum(source.count("\nMAX_") for source in sources.values()) >= 7
+    assert _unnamed_caps(sources) == []
