@@ -1,26 +1,32 @@
 """Restricted-digit Cantor sets: points of [0, 1] admitting an expansion using only digits from A.
 
 Membership is existential, so a point with a disallowed canonical digit can
-still belong via its trailing-(q-1) representation."""
+still belong via its trailing-(q-1) representation.  geometric_rows and
+lattice_rows test the scaled points alpha*ratio**k and alpha / prod(p_j**k_j)."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from functools import cached_property
 
-from qadic import kernels
+from qadic import _par, kernels
 from qadic.expansion import alternate_expansion
 from qadic.rational import (
+    MAX_POINTS,
     PreconditionError,
     Record,
+    _require_points,
+    modulus_list,
     parse_rational,
     require,
     require_digits,
-    require_field,
+    require_rational,
     split_coprime_part,
 )
 
-__all__ = ["Gap", "DigitCantorSet"]
+__all__ = ["Gap", "DigitCantorSet", "geometric_rows", "lattice_rows"]
 
 
 class Gap(Record):
@@ -106,10 +112,13 @@ class DigitCantorSet(Record):
         return max(candidates, key=lambda g: g.length)
 
     def contains(self, x) -> bool:
-        """Exact membership test for x in [0, 1].
+        """Exact membership test for x in [0, 1], an int or a Fraction.
 
         Scans the canonical digits with early exit; if they terminate and
-        fail, falls back to the alternate (trailing-(q-1)) expansion."""
+        fail, falls back to the alternate (trailing-(q-1)) expansion.  A
+        member whose period is longer than MAX_DIGITS digits raises
+        PreconditionError (`kernels.scan_allowed`)."""
+        x = require_rational("x", x)
         if not 0 <= x <= 1:
             raise PreconditionError(f"x = {x} outside [0, 1]")
         if x == 0:
@@ -124,12 +133,55 @@ class DigitCantorSet(Record):
             return alternate_expansion(x, self.base).digits_used() <= set(self.digits)
         return False
 
-    def to_dict(self) -> dict:
-        return {"base": self.base, "digits": list(self.digits)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DigitCantorSet":
-        return cls(
-            require_field(data, "base", int, "digit set"),
-            tuple(require_field(data, "digits", list, "digit set")),
-        )
+def _check_scale(alpha, ratio=None, k_max=0) -> tuple[Fraction, Fraction | None]:
+    """alpha and ratio as Fractions, with alpha > 0 and 0 < ratio < 1 (ratio None skips it).
+
+    With a ratio, the scan of k = 0..k_max is capped before it starts: more
+    than MAX_POINTS points, or more than MAX_SCAN_BITS bits summed over the
+    powers t**k of the ratio's denominator t, raise PreconditionError."""
+    alpha = require_rational("alpha", alpha)
+    if alpha <= 0:
+        raise PreconditionError(f"alpha = {alpha}; need alpha > 0")
+    if ratio is not None:
+        ratio = require_rational("ratio", ratio)
+        if not 0 < ratio < 1:
+            raise PreconditionError(f"ratio = {ratio}; need 0 < ratio < 1")
+        require("k_max", k_max, 0)
+        bits = ratio.denominator.bit_length() * k_max * (k_max + 1) // 2
+        # a k_max that fails the point cap goes unprinted: it may pass the int-to-str limit
+        scan = f"the scan of k = 0..{k_max}" if k_max < MAX_POINTS else "the scan of k = 0..k_max"
+        _require_points(scan, k_max + 1, bits)
+    return alpha, ratio
+
+
+def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[int, Fraction, bool]]:
+    """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member).
+
+    Capped before any point is built (`_check_scale`)."""
+    alpha, ratio = _check_scale(alpha, ratio, k_max)
+
+    def row(k):
+        value = alpha * ratio**k
+        return k, value, value <= 1 and K.contains(value)
+
+    return _par.pmap(row, list(range(k_max + 1)))
+
+
+def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple[int, ...], Fraction, bool]]:
+    """Evaluate alpha / prod(p_j**k_j) over [0, box]^l in lexicographic order.
+
+    More than MAX_POINTS points, or more than MAX_SCAN_BITS bits summed over
+    the products prod(p_j**k_j), raise PreconditionError."""
+    alpha, _ = _check_scale(alpha)
+    primes = modulus_list(primes)
+    require("box", box, 0)
+    points = (min(box, MAX_POINTS) + 1) ** len(primes)
+    # each k_j takes every value in [0, box] equally often, box / 2 on average
+    _require_points("box", points, points * box * sum(p.bit_length() for p in primes) // 2)
+
+    def row(k_tuple):
+        value = alpha / math.prod(p**k for p, k in zip(primes, k_tuple))
+        return k_tuple, value, value <= 1 and K.contains(value)
+
+    return _par.pmap(row, list(itertools.product(range(box + 1), repeat=len(primes))))

@@ -16,12 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from qadic.cantor import DigitCantorSet, Gap
+from qadic.cantor import DigitCantorSet, Gap, _check_scale, geometric_rows
 from qadic.rational import (
     SMALL_PRIMES,
     PreconditionError,
     Record,
-    _require_points,
     euler_phi,
     factorize,
     format_rational,
@@ -233,15 +232,13 @@ def exclusion_bound(alpha, K: DigitCantorSet, primes, scan_empirical: bool = Tru
     minimal h with 2**h > 1/g; split the witness residue b into b_hat/p_hat;
     choose the smallest m with x < m/p_hat < y; then the minimal k_alpha with
     k_alpha >= k0 + 2h whose tail drops below y - m/p_hat.  The empirical
-    scan of alpha / P**k for k = 0..k_alpha is capped as geometric_rows caps
-    the ratio 1/P (MAX_POINTS, MAX_SCAN_BITS), before it starts."""
+    scan of alpha / P**k for k = 0..k_alpha is geometric_rows with the ratio
+    1/P, capped (MAX_POINTS, MAX_SCAN_BITS) before it starts."""
     primes = modulus_list(primes)
     q = K.base
     P = math.prod(primes)
     require_coprime(q, P, "q must be coprime to the moduli")
-    alpha = require_rational("alpha", alpha)
-    if alpha <= 0:
-        raise PreconditionError(f"alpha = {alpha}; need alpha > 0")
+    alpha, _ = _check_scale(alpha)
     r, s_hat, t_hat = _reduce_value(alpha, q, P)
     gap = K.largest_gap
     g = gap.length
@@ -265,13 +262,8 @@ def exclusion_bound(alpha, K: DigitCantorSet, primes, scan_empirical: bool = Tru
     k_alpha = k + r
     empirical_k = None
     if scan_empirical:
-        _require_points("k_alpha", k_alpha + 1, P.bit_length() * k_alpha * (k_alpha + 1) // 2)
-        last = -1
-        for kk in range(k_alpha + 1):
-            value = alpha / P**kk
-            if value <= 1 and K.contains(value):
-                last = kk
-        empirical_k = last + 1
+        rows = geometric_rows(alpha, Fraction(1, P), K, k_alpha)
+        empirical_k = max((k + 1 for k, _, member in rows if member), default=0)
     return ExclusionBound(alpha, K, primes, h, gap, b, k0, b_hat, p_hat, m, k_alpha, r, empirical_k)
 
 

@@ -8,27 +8,19 @@ rationals with a set, digit-onset scans, and two demonstration constructions.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from fractions import Fraction
 
-from qadic import _par
-from qadic.cantor import DigitCantorSet
+from qadic.cantor import DigitCantorSet, _check_scale, geometric_rows, lattice_rows
 from qadic.certificates import ExclusionBound, exclusion_bound
 from qadic.expansion import ExpansionQ, digit_set, expand
 from qadic.rational import (
-    MAX_POINTS,
     MAX_RESIDUES,
-    PreconditionError,
     Record,
-    _require_points,
     format_rational,
-    modulus_list,
     require,
     require_coprime,
     require_printable,
-    require_rational,
     require_residues,
     split_coprime_part,
 )
@@ -70,39 +62,6 @@ class ExceptionalReport(Record):
         }
 
 
-def _check_scale(alpha, ratio=None) -> tuple[Fraction, Fraction | None]:
-    """alpha and ratio as Fractions, with alpha > 0 and 0 < ratio < 1 (ratio None skips it)."""
-    alpha = require_rational("alpha", alpha)
-    if alpha <= 0:
-        raise PreconditionError(f"alpha = {alpha}; need alpha > 0")
-    if ratio is not None:
-        ratio = require_rational("ratio", ratio)
-        if not 0 < ratio < 1:
-            raise PreconditionError(f"ratio = {ratio}; need 0 < ratio < 1")
-    return alpha, ratio
-
-
-def _geo_point(alpha, ratio, K, k):
-    value = alpha * ratio**k
-    return k, value, value <= 1 and K.contains(value)
-
-
-def _lattice_point(alpha, primes, K, k_tuple):
-    value = alpha / math.prod(p**k for p, k in zip(primes, k_tuple))
-    return k_tuple, value, value <= 1 and K.contains(value)
-
-
-def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[int, Fraction, bool]]:
-    """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member).
-
-    More than MAX_POINTS points, or more than MAX_SCAN_BITS bits summed over
-    the powers t**k of the ratio's denominator t, raise PreconditionError."""
-    alpha, ratio = _check_scale(alpha, ratio)
-    require("k_max", k_max, 0)
-    _require_points("k_max", k_max + 1, ratio.denominator.bit_length() * k_max * (k_max + 1) // 2)
-    return _par.pmap(functools.partial(_geo_point, alpha, ratio, K), list(range(k_max + 1)))
-
-
 def exceptional_geometric(alpha, ratio, K: DigitCantorSet, k_max: int) -> ExceptionalReport:
     """All k <= k_max with alpha*ratio**k in K, plus a certified tail when the
     ratio is 1/t with gcd(t, base) = 1.
@@ -124,21 +83,6 @@ def exceptional_geometric(alpha, ratio, K: DigitCantorSet, k_max: int) -> Except
         "k_max": k_max,
     }
     return ExceptionalReport(parameters, members, k_max, tail, t_hat > 1)
-
-
-def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple[int, ...], Fraction, bool]]:
-    """Evaluate alpha / prod(p_j**k_j) over [0, box]^l in lexicographic order.
-
-    More than MAX_POINTS points, or more than MAX_SCAN_BITS bits summed over
-    the products prod(p_j**k_j), raise PreconditionError."""
-    alpha, _ = _check_scale(alpha)
-    primes = modulus_list(primes)
-    require("box", box, 0)
-    points = (min(box, MAX_POINTS) + 1) ** len(primes)
-    # each k_j takes every value in [0, box] equally often, box / 2 on average
-    _require_points("box", points, points * box * sum(p.bit_length() for p in primes) // 2)
-    k_tuples = list(itertools.product(range(box + 1), repeat=len(primes)))
-    return _par.pmap(functools.partial(_lattice_point, alpha, primes, K), k_tuples)
 
 
 def exceptional_lattice(alpha, primes, K: DigitCantorSet, box: int) -> ExceptionalReport:
@@ -267,9 +211,7 @@ def all_digits_onset(alpha, ratio, q: int, k_max: int) -> int | None:
     within the bound).  Indices whose value exceeds or reaches 1 count as not
     full.  The scan is capped as in geometric_rows."""
     require("q", q, 3)
-    alpha, ratio = _check_scale(alpha, ratio)
-    require("k_max", k_max, 0)
-    _require_points("k_max", k_max + 1, ratio.denominator.bit_length() * k_max * (k_max + 1) // 2)
+    alpha, ratio = _check_scale(alpha, ratio, k_max)
     every = set(range(q))
     last_bad = -1
     for k in range(k_max + 1):

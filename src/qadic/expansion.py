@@ -13,6 +13,7 @@ from qadic.rational import (
     require,
     require_digits,
     require_field,
+    require_rational,
     split_coprime_part,
 )
 
@@ -120,10 +121,12 @@ class ExpansionQ(Record):
         )
 
 
-def _check_expansion_domain(x, q: int):
+def _check_expansion_domain(x, q: int) -> Fraction:
     require("q", q, 2)
+    x = require_rational("x", x)
     if not 0 <= x < 1:
         raise PreconditionError(f"x = {x} outside the expansion domain [0, 1)")
+    return x
 
 
 def expand(x, q: int) -> ExpansionQ:
@@ -134,7 +137,7 @@ def expand(x, q: int) -> ExpansionQ:
     those v digits until that remainder recurs, so its length is the
     multiplicative order of q modulo the coprime part.
     """
-    _check_expansion_domain(x, q)
+    x = _check_expansion_domain(x, q)
     _, _, v = split_coprime_part(x.denominator, q)
     pre, per = kernels.digit_cycle(x.numerator, x.denominator, q, v)
     return ExpansionQ(q, tuple(pre), tuple(per))
@@ -145,8 +148,9 @@ def digit_set(x, q: int) -> set[int]:
 
     Stops as soon as all q digits have been seen, so this stays cheap even
     when the period itself is astronomically long, and skips the leading
-    zeros of a tiny x such as p**-n in a few bigint steps."""
-    _check_expansion_domain(x, q)
+    zeros of a tiny x such as p**-n in a few bigint steps; a period walk past
+    MAX_DIGITS digits raises PreconditionError (`kernels.digit_mask`)."""
+    x = _check_expansion_domain(x, q)
     _, _, v = split_coprime_part(x.denominator, q)
     mask = kernels.digit_mask(x.numerator, x.denominator, q, v)
     return set(kernels.mask_digits(mask))
@@ -157,6 +161,7 @@ def alternate_expansion(x, q: int) -> ExpansionQ | None:
 
     Defined for 0 < x < 1: the last nonzero digit is decremented and followed
     by (q-1) forever."""
+    x = require_rational("x", x)
     if not 0 < x < 1:
         raise PreconditionError(f"x = {x}; the alternate form exists for 0 < x < 1")
     e = expand(x, q)
@@ -172,6 +177,7 @@ def shift_digits(x, q: int, n: int) -> Fraction:
     This is the n-step left shift of the digit string of x."""
     require("q", q, 2)
     require("n", n, 0)
+    x = require_rational("x", x)
     if x < 0:
         raise PreconditionError(f"x = {x} is negative")
     num, den = x.numerator, x.denominator

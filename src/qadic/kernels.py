@@ -1,5 +1,5 @@
-"""The digit loops, in pure Python; arbitrary precision, and a period list
-capped at rational.MAX_DIGITS digits.
+"""The digit loops, in pure Python; arbitrary precision, and every period
+walk capped at rational.MAX_DIGITS digits.
 
 digit_cycle, scan_allowed and digit_mask all walk the long division of
 num/den (0 <= num < den) in the given base: the preperiod, whose length the
@@ -80,11 +80,13 @@ def scan_allowed(num, den, base, mask, preperiod_len):
 
     Walks the preperiod then exactly one period, stopping at the first digit
     outside the mask.  num/den must be in lowest terms and preperiod_len must
-    be at least the true preperiod length, or the walk will not terminate.
-    When 0 is allowed, the leading zeros are skipped in one skip_zeros call:
-    if there are z <= preperiod_len of them the walk goes on with the
-    remaining preperiod_len - z digits, and otherwise the remainder after
-    them already lies on the period cycle, so one period from it is walked.
+    be at least the true preperiod length, or the walk never meets its start
+    again and raises PreconditionError after MAX_DIGITS period digits, as a
+    longer period does.  When 0 is allowed, the leading zeros are skipped in
+    one skip_zeros call: if there are z <= preperiod_len of them the walk
+    goes on with the remaining preperiod_len - z digits, and otherwise the
+    remainder after them already lies on the period cycle, so one period
+    from it is walked.
     """
     r = num
     if num and mask & 1:
@@ -96,13 +98,14 @@ def scan_allowed(num, den, base, mask, preperiod_len):
         if not (mask >> d) & 1:
             return False
     sentinel = r
-    while True:
+    for _ in range(MAX_DIGITS):
         r *= base
         d, r = divmod(r, den)
         if not (mask >> d) & 1:
             return False
         if r == sentinel:
             return True
+    raise PreconditionError(f"the period of the expansion is longer than MAX_DIGITS = {MAX_DIGITS} digits")
 
 
 def digit_mask(num, den, base, preperiod_len):
@@ -111,7 +114,8 @@ def digit_mask(num, den, base, preperiod_len):
     Stops early once all `base` digits have been seen; otherwise walks the
     preperiod plus one full period.  The leading zeros are skipped in one
     skip_zeros call, which sets bit 0 if there is at least one, and the walk
-    goes on from the remainder after them as in scan_allowed."""
+    goes on from the remainder after them as in scan_allowed, and stops with
+    PreconditionError after MAX_DIGITS period digits as scan_allowed does."""
     full = (1 << base) - 1
     mask = 0
     r = num
@@ -126,12 +130,13 @@ def digit_mask(num, den, base, preperiod_len):
         if mask == full:
             return mask
     sentinel = r
-    while True:
+    for _ in range(MAX_DIGITS):
         r *= base
         d, r = divmod(r, den)
         mask |= 1 << d
         if mask == full or r == sentinel:
             return mask
+    raise PreconditionError(f"the period of the expansion is longer than MAX_DIGITS = {MAX_DIGITS} digits")
 
 
 def mask_of(digits) -> int:

@@ -162,7 +162,9 @@ def require(name: str, value: int, minimum: int):
 
 
 def require_rational(name: str, value) -> Fraction:
-    """value as a Fraction; it must be a plain int (a bool is not one) or a Fraction."""
+    """value as a Fraction, uncopied if it is one; it must be a plain int (a bool is not one) or a Fraction."""
+    if type(value) is Fraction:
+        return value
     if type(value) is not int and not isinstance(value, Fraction):
         raise PreconditionError(f"{name} = {value!r} is not an int or a Fraction")
     return Fraction(value)

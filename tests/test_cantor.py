@@ -194,18 +194,3 @@ def test_dual_representation_completeness(K):
 def test_gap_dict_round_trip():
     gap = K32_02.largest_gap
     assert Gap.from_dict(gap.to_dict()) == gap
-    data = K3_01.to_dict()
-    assert DigitCantorSet.from_dict(data) == K3_01
-    # nothing is coerced into K(3, {0, 1}); a missing or non-list field is no KeyError or TypeError
-    for bad in (
-        {"base": 3.9, "digits": [0, 1.7]},
-        {"base": "3", "digits": ["0", True]},
-        {"base": 3, "digits": [0, 1.7]},
-        {"base": 3, "digits": ["0", 1]},
-        {"base": 3, "digits": [False, True]},
-        {"base": True, "digits": [0, 1]},
-        {},
-        {"base": 3, "digits": 5},
-    ):
-        with pytest.raises(PreconditionError):
-            DigitCantorSet.from_dict(bad)

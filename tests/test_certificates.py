@@ -182,6 +182,10 @@ def test_exclusion_bound_search_on_a_large_numerator():
     assert (bd.reduction_r, bd.k_alpha) == (0, 13290)
     limit = bd.gap.right - Fraction(bd.m, bd.p_hat)
     assert Fraction(alpha, 2**13290) < limit <= Fraction(alpha, 2**13289)
+    # the empirical scan to that k_alpha is the ratio-1/2 scan of geometric_rows, capped before it starts
+    with pytest.raises(PreconditionError, match=r"^the scan of k = 0\.\.13290 gives denominators of 176637390 bits"):
+        exclusion_bound(alpha, K3_01, (2,))
+    assert time.perf_counter() - start < 1
 
 
 def test_certificate_frozen():

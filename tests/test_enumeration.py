@@ -9,6 +9,7 @@ import pytest
 
 from qadic import rational
 from qadic.cantor import DigitCantorSet
+from qadic.certificates import exclusion_bound
 from qadic.enumeration import (
     all_digits_onset,
     dp_intersection,
@@ -82,6 +83,37 @@ def test_geometric_oracle_agreement():
             if (x := alpha * ratio**k) <= 1 and _oracle_member(x, K.base, allowed)
         ]
         assert list(report.members) == oracle
+
+
+def test_bound_empirical_k_matches_long_division():
+    # empirical_k is one past the last k <= k_alpha with alpha / P**k in K, or
+    # 0 when no k is: pinned with no member, with the moduli (2, 5), and on
+    # seeded alphas, each against the long-division oracle
+    def oracle_k(alpha, K, primes, k_alpha):
+        P = math.prod(primes)
+        allowed = set(K.digits)
+        members = [k for k in range(k_alpha + 1) if (x := alpha / P**k) <= 1 and _oracle_member(x, K.base, allowed)]
+        return max(members, default=-1) + 1
+
+    pinned = (
+        (Fraction(1, 2), K3_02, (7,), 0),
+        (Fraction(1), K3_01, (2, 5), 0),
+        (Fraction(1), K3_02, (2, 5), 2),
+    )
+    for alpha, K, primes, expected in pinned:
+        bd = exclusion_bound(alpha, K, primes)
+        assert bd.empirical_k == oracle_k(alpha, K, primes, bd.k_alpha) == expected
+    rng = random.Random(20261020)
+    sets = (K3_01, K3_02, DigitCantorSet(5, (0, 2, 4)), DigitCantorSet(7, (1, 2, 3)), DigitCantorSet(10, (0, 5)))
+    seen = set()
+    for _ in range(40):
+        K = rng.choice(sets)
+        primes = rng.choice([ps for ps in ((2,), (5,), (7,), (2, 5), (3, 7)) if math.gcd(math.prod(ps), K.base) == 1])
+        alpha = Fraction(rng.randrange(1, 60), rng.randrange(1, 60))
+        bd = exclusion_bound(alpha, K, primes)
+        assert bd.empirical_k == oracle_k(alpha, K, primes, bd.k_alpha), (alpha, K, primes)
+        seen.add(bd.empirical_k > 0)
+    assert seen == {False, True}
 
 
 def test_geometric_hypothesis_violated():
@@ -425,7 +457,7 @@ def test_point_cap_before_allocation():
     # k_max + 1 and (box + 1)**l points are counted before any is listed
     assert MAX_POINTS == 10**5
     assert len(geometric_rows(1, Fraction(1, 2), K3_01, 0)) == 1
-    for k_max in (MAX_POINTS, 10**9):
+    for k_max in (MAX_POINTS, 10**9, 10**5000):  # 10**5000 is past the int-to-str limit
         with pytest.raises(PreconditionError, match="MAX_POINTS"):
             geometric_rows(1, Fraction(1, 2), K3_01, k_max)
         with pytest.raises(PreconditionError, match="MAX_POINTS"):
@@ -442,8 +474,8 @@ def test_scan_bit_cap_from_closed_forms(monkeypatch):
     # bits(t) * k_max * (k_max + 1) / 2 and (box + 1)**l * box / 2 * sum(bits(p_j)),
     # checked before any point is listed
     assert MAX_SCAN_BITS == 10**7
-    with pytest.raises(PreconditionError, match="MAX_SCAN_BITS"):
-        geometric_rows(1, Fraction(1, 2), K3_01, 3162)  # 10,001,406 bits
+    with pytest.raises(PreconditionError, match=r"^the scan of k = 0\.\.3162 gives denominators of 10001406 bits"):
+        geometric_rows(1, Fraction(1, 2), K3_01, 3162)
     with pytest.raises(PreconditionError, match="MAX_SCAN_BITS"):
         exceptional_lattice(1, (2, 3), K3_01, 171)  # 10,117,728 bits
     monkeypatch.setattr(rational, "MAX_SCAN_BITS", 110)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -168,3 +169,26 @@ def test_digit_cycle_period_cap(monkeypatch):
     monkeypatch.setattr(kernels, "MAX_DIGITS", 5)
     with pytest.raises(PreconditionError, match="MAX_DIGITS = 5"):
         kernels.digit_cycle(1, 7, 10, 0)
+
+
+def test_scan_walks_period_cap(monkeypatch):
+    # 5/6 in base 3 has a preperiod of one digit; walked as if it had none,
+    # the period walk never meets its start again, and once ran forever
+    short = (lambda: kernels.scan_allowed(5, 6, 3, 0b110, 0), lambda: kernels.digit_mask(5, 6, 3, 0))
+    for call in short:
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="MAX_DIGITS = 1000000"):
+            call()
+        assert time.perf_counter() - start < 1
+    # 1/7 in base 10 has a 6-digit period: walked at a cap of 6, refused at 5
+    monkeypatch.setattr(kernels, "MAX_DIGITS", 6)
+    assert kernels.scan_allowed(1, 7, 10, (1 << 10) - 1, 0)
+    assert kernels.digit_mask(1, 7, 10, 0) == kernels.mask_of((1, 4, 2, 8, 5, 7))
+    for call in short:
+        with pytest.raises(PreconditionError, match="MAX_DIGITS = 6"):
+            call()
+    monkeypatch.setattr(kernels, "MAX_DIGITS", 5)
+    with pytest.raises(PreconditionError, match="MAX_DIGITS = 5"):
+        kernels.scan_allowed(1, 7, 10, (1 << 10) - 1, 0)
+    with pytest.raises(PreconditionError, match="MAX_DIGITS = 5"):
+        kernels.digit_mask(1, 7, 10, 0)

@@ -16,6 +16,7 @@ from qadic.enumeration import (
     geometric_rows,
     lattice_rows,
 )
+from qadic.expansion import alternate_expansion, digit_set, expand, shift_digits
 from qadic.rational import (
     MAX_RESIDUES,
     MAX_RHO_STEPS,
@@ -239,6 +240,31 @@ def test_every_rational_entry_point_rejects_inexact_values(entry):
     for ratio in (0.5, True, "1/2") if entry in TAKES_RATIO else ():
         with pytest.raises(PreconditionError, match="^ratio = .* is not an int or a Fraction$"):
             call(1, ratio)
+
+
+X_ENTRY_POINTS = {
+    "expand": lambda x: expand(x, 3),
+    "digit_set": lambda x: digit_set(x, 3),
+    "alternate_expansion": lambda x: alternate_expansion(x, 3),
+    "shift_digits": lambda x: shift_digits(x, 3, 2),
+    "contains": lambda x: DigitCantorSet(3, (0, 2)).contains(x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(X_ENTRY_POINTS))
+def test_every_x_entry_point_rejects_inexact_values(entry):
+    # a float or a string x used to raise AttributeError or TypeError
+    call = X_ENTRY_POINTS[entry]
+    call(Fraction(1, 4))
+    for x in (0.1, 1.0, True, "1/2", None):
+        with pytest.raises(PreconditionError, match="^x = .* is not an int or a Fraction$"):
+            call(x)
+
+
+def test_require_rational_passes_a_fraction_through():
+    x = Fraction(1, 4)
+    assert rational.require_rational("x", x) is x
+    assert rational.require_rational("x", 3) == Fraction(3)
 
 
 def test_require_rejects_bools_floats_and_small_values():

@@ -1,6 +1,7 @@
 """No module under src/qadic or tests imports a name it never reads, no
-module-level private name in src/qadic goes unread by the package, and every
-module-level MAX_* cap in src/qadic is named by a PreconditionError message."""
+module-level private name in src/qadic goes unread by the package, every
+module-level MAX_* cap in src/qadic is named by a PreconditionError message,
+and the modules of src/qadic import each other in one order, at module level."""
 
 import ast
 import re
@@ -143,3 +144,61 @@ def test_every_cap_is_named_by_an_error():
     sources = {f.name: f.read_text() for f in sorted(ROOTS[0].glob("*.py"))}
     assert sum(source.count("\nMAX_") for source in sources.values()) >= 7
     assert _unnamed_caps(sources) == []
+
+
+# Each module of src/qadic imports only the qadic modules listed before it;
+# __init__ and __main__, which sit on top of the package, are exempt.
+LAYERS = ("_par", "rational", "kernels", "expansion", "cantor", "orders", "certificates", "enumeration", "cli")
+
+
+def _layering_faults(sources):
+    """Sorted (module, fault) for the sources, a dict of module name to
+    source: a module LAYERS does not list, an import of a qadic module not
+    listed before the importer, and an import inside a function body."""
+    faults = []
+    for module, source in sources.items():
+        if module not in LAYERS:
+            faults.append((module, "is not in LAYERS"))
+            continue
+        earlier = LAYERS[: LAYERS.index(module)]
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                faults += [(module, f"imports inside {node.name}")] * len(inner)
+                continue
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [f"qadic.{a.name}" for a in node.names] if node.module == "qadic" else [node.module]
+            else:
+                continue
+            for target in targets:
+                name = target.removeprefix("qadic.")
+                if (target == "qadic" or target.startswith("qadic.")) and name not in earlier:
+                    faults.append((module, f"imports {name}"))
+    return sorted(faults)
+
+
+def test_layering_guard_flags_each_form():
+    sources = {
+        "kernels": "from qadic.rational import MAX_DIGITS\n",
+        "cantor": "import math\nfrom qadic import _par, enumeration\ndef f():\n    from qadic.rational import require\n",
+        "orders": "import qadic.cli\nimport qadic\nfrom qadic.orders import mult_order\n",
+        "extra": "import os\n",
+    }
+    assert _layering_faults(sources) == [
+        ("cantor", "imports enumeration"),
+        ("cantor", "imports inside f"),
+        ("extra", "is not in LAYERS"),
+        ("orders", "imports cli"),
+        ("orders", "imports orders"),
+        ("orders", "imports qadic"),
+    ]
+
+
+def test_modules_import_only_earlier_layers():
+    # the order keeps the package free of import cycles, and so of the lazy
+    # imports inside functions that would hide one
+    files = [f for f in sorted(ROOTS[0].glob("*.py")) if f.stem not in ("__init__", "__main__")]
+    assert len(files) == len(LAYERS)
+    assert _layering_faults({f.stem: f.read_text() for f in files}) == []
