@@ -38,6 +38,18 @@ EDGE = (
     ("witness", "--q", "3", "--t", "1", "--primes", "2", "--h", "2", "--k", "14000"),
     ("euclid", "--q", "3", "--k", "9011"),
     ("stabilize", "--p", "101", "--q", "3"),
+    # the carried alpha/t**k scan at its edges, in both formats: a member
+    # planted at k = 2 (49/4 / 7**2 = 1/4), a numerator sharing a prime with
+    # t (the per-point rows), and 0 not an allowed digit
+    ("enumerate", "--alpha", "49/4", "--q", "3", "--A", "0,2", "--ratio", "1/7", "--k-max", "30"),
+    ("enumerate", "--alpha", "49/4", "--q", "3", "--A", "0,2", "--ratio", "1/7", "--k-max", "30",
+     "--format", "csv"),
+    ("enumerate", "--alpha", "10/3", "--q", "3", "--A", "0,2", "--ratio", "1/10", "--k-max", "60"),
+    ("enumerate", "--alpha", "10/3", "--q", "3", "--A", "0,2", "--ratio", "1/10", "--k-max", "60",
+     "--format", "csv"),
+    ("enumerate", "--alpha", "1/2", "--q", "5", "--A", "1,3", "--ratio", "1/7", "--k-max", "50"),
+    ("enumerate", "--alpha", "1/2", "--q", "5", "--A", "1,3", "--ratio", "1/7", "--k-max", "50",
+     "--format", "csv"),
 )
 
 
