@@ -23,6 +23,7 @@ from qadic.rational import (
     require,
     require_digits,
     require_rational,
+    shown,
     split_coprime_part,
 )
 
@@ -120,7 +121,7 @@ class DigitCantorSet(Record):
         PreconditionError (`kernels.scan_allowed`)."""
         x = require_rational("x", x)
         if not 0 <= x <= 1:
-            raise PreconditionError(f"x = {x} outside [0, 1]")
+            raise PreconditionError(f"x = {shown(x)} outside [0, 1]")
         if x == 0:
             return 0 in self.digits
         if x == 1:
@@ -142,11 +143,11 @@ def _check_scale(alpha, ratio=None, k_max=0) -> tuple[Fraction, Fraction | None]
     powers t**k of the ratio's denominator t, raise PreconditionError."""
     alpha = require_rational("alpha", alpha)
     if alpha <= 0:
-        raise PreconditionError(f"alpha = {alpha}; need alpha > 0")
+        raise PreconditionError(f"alpha = {shown(alpha)}; need alpha > 0")
     if ratio is not None:
         ratio = require_rational("ratio", ratio)
         if not 0 < ratio < 1:
-            raise PreconditionError(f"ratio = {ratio}; need 0 < ratio < 1")
+            raise PreconditionError(f"ratio = {shown(ratio)}; need 0 < ratio < 1")
         require("k_max", k_max, 0)
         bits = ratio.denominator.bit_length() * k_max * (k_max + 1) // 2
         # a k_max that fails the point cap goes unprinted: it may pass the int-to-str limit
@@ -158,14 +159,34 @@ def _check_scale(alpha, ratio=None, k_max=0) -> tuple[Fraction, Fraction | None]
 def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[int, Fraction, bool]]:
     """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member).
 
-    Capped before any point is built (`_check_scale`)."""
+    Capped before any point is built (`_check_scale`).  When the ratio is 1/t
+    with gcd(t, q) = 1 and alpha = s/d has gcd(s, t) = 1, each point below 1
+    with k >= 1 is s / (d * t**k) in lowest terms, with d's preperiod length
+    and a part prime to q above 1, so no trailing-(q-1) form applies:
+    `kernels.scan_powers` tests all of them in one pass, carrying the
+    remainder after each point's leading zeros to the next k.  Every other
+    point goes through `contains` on its own."""
     alpha, ratio = _check_scale(alpha, ratio, k_max)
 
     def row(k):
         value = alpha * ratio**k
         return k, value, value <= 1 and K.contains(value)
 
-    return _par.pmap(row, list(range(k_max + 1)))
+    s, d, t, q = alpha.numerator, alpha.denominator, ratio.denominator, K.base
+    if ratio.numerator > 1 or math.gcd(t, q) > 1 or math.gcd(s, t) > 1:
+        return _par.pmap(row, list(range(k_max + 1)))
+    # k0, the first k >= 1 with alpha / t**k < 1; the points before it are above 1 from k = 1 on
+    k0, den = 1, d * t
+    while den <= s and k0 <= k_max:
+        k0, den = k0 + 1, den * t
+    rows = _par.pmap(row, list(range(min(k0, k_max + 1))))
+    if k0 <= k_max:
+        _, _, v = split_coprime_part(d, q)
+        value = Fraction(s, den)
+        for k, member in enumerate(kernels.scan_powers(s, den, t, q, K.digit_mask, v, k_max + 1 - k0), k0):
+            rows.append((k, value, member))
+            value /= t
+    return rows
 
 
 def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple[int, ...], Fraction, bool]]:

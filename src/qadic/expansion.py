@@ -14,6 +14,7 @@ from qadic.rational import (
     require_digits,
     require_field,
     require_rational,
+    shown,
     split_coprime_part,
 )
 
@@ -34,14 +35,16 @@ _LEAF_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
 _ALPHABET = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
 
 
-def _digits_int(digits, lo, hi, q):
+def _digits_int(digits, lo, hi, q, powers):
     """The integer whose base-q digits, most significant first, are digits[lo:hi].
 
     Splits the run in halves, value(left) * q**len(right) + value(right), so
     the large multiplications have balanced operands and the whole costs
-    within a log factor of one multiplication of the result's size.  A leaf
-    of at most _LEAF_DIGITS digits is read in C by int(text, q) when q <= 36,
-    and folded by Horner's rule otherwise.
+    within a log factor of one multiplication of the result's size.  The
+    halvings give only a few distinct lengths, so each q**len(right) is
+    built once and kept in powers, a dict the caller passes and may share
+    between calls.  A leaf of at most _LEAF_DIGITS digits is read in C by
+    int(text, q) when q <= 36, and folded by Horner's rule otherwise.
     """
     if hi - lo <= _LEAF_DIGITS:
         if q <= 36 and hi > lo:
@@ -51,7 +54,9 @@ def _digits_int(digits, lo, hi, q):
             acc = acc * q + d
         return acc
     mid = (lo + hi) // 2
-    return _digits_int(digits, lo, mid, q) * q ** (hi - mid) + _digits_int(digits, mid, hi, q)
+    if (power := powers.get(hi - mid)) is None:
+        power = powers[hi - mid] = q ** (hi - mid)
+    return _digits_int(digits, lo, mid, q, powers) * power + _digits_int(digits, mid, hi, q, powers)
 
 
 def _repeated_block(period):
@@ -99,8 +104,9 @@ class ExpansionQ(Record):
         """The rational this expansion denotes."""
         q = self.base
         v, n = len(self.preperiod), len(self.period)
-        head = _digits_int(self.preperiod, 0, v, q)
-        rep = _digits_int(self.period, 0, n, q)
+        powers = {}
+        head = _digits_int(self.preperiod, 0, v, q, powers)
+        rep = _digits_int(self.period, 0, n, q, powers)
         return Fraction(head * (q**n - 1) + rep, q**v * (q**n - 1))
 
     def digits_used(self) -> frozenset[int]:
@@ -125,7 +131,7 @@ def _check_expansion_domain(x, q: int) -> Fraction:
     require("q", q, 2)
     x = require_rational("x", x)
     if not 0 <= x < 1:
-        raise PreconditionError(f"x = {x} outside the expansion domain [0, 1)")
+        raise PreconditionError(f"x = {shown(x)} outside the expansion domain [0, 1)")
     return x
 
 
@@ -163,7 +169,7 @@ def alternate_expansion(x, q: int) -> ExpansionQ | None:
     by (q-1) forever."""
     x = require_rational("x", x)
     if not 0 < x < 1:
-        raise PreconditionError(f"x = {x}; the alternate form exists for 0 < x < 1")
+        raise PreconditionError(f"x = {shown(x)}; the alternate form exists for 0 < x < 1")
     e = expand(x, q)
     if not e.is_terminating():
         return None
@@ -179,6 +185,6 @@ def shift_digits(x, q: int, n: int) -> Fraction:
     require("n", n, 0)
     x = require_rational("x", x)
     if x < 0:
-        raise PreconditionError(f"x = {x} is negative")
+        raise PreconditionError(f"x = {shown(x)} is negative")
     num, den = x.numerator, x.denominator
     return Fraction(num * pow(q, n, den) % den, den)

@@ -7,7 +7,11 @@ caller passes (the v of split_coprime_part), then one period, until the
 remainder returns to the one after the preperiod; none keeps a table of
 remainders.  scan_allowed and digit_mask first skip the leading zero digits
 in a few bigint steps (skip_zeros), so a tiny value such as p**-n costs
-nothing per leading zero.  Integers only: no float enters any bound.
+nothing per leading zero.  scan_powers tests a whole row num / (den * t**i),
+the points alpha * t**-k of a geometric scan: it carries the remainder after
+one point's leading zeros to the next point, a few factors of base further
+on, and runs scan_allowed's walk from there.  Integers only: no float enters
+any bound.
 """
 
 from __future__ import annotations
@@ -106,6 +110,29 @@ def scan_allowed(num, den, base, mask, preperiod_len):
         if r == sentinel:
             return True
     raise PreconditionError(f"the period of the expansion is longer than MAX_DIGITS = {MAX_DIGITS} digits")
+
+
+def scan_powers(num, den, t, base, mask, preperiod_len, count):
+    """[scan_allowed(num, den * t**i, ...) for i in range(count)], in one pass.
+
+    num/den must be in lowest terms with 0 < num < den and preperiod length
+    preperiod_len, and gcd(num, t) = gcd(t, base) = 1, so that every
+    num / (den * t**i) is in lowest terms with that same preperiod length.
+    The remainder after a point's z leading zeros, r = num * base**z, is
+    below den * t**i; skip_zeros carries it on to the next point's, about
+    log_base(t) digits further, so no point skips its zeros from num.  From
+    r, scan_allowed walks the max(preperiod_len - z, 0) preperiod digits
+    left and one period, with early exit.  A point with a leading zero is
+    no member when 0 is not allowed.
+    """
+    members = []
+    z, r = skip_zeros(num, den, base)
+    for _ in range(count):
+        members.append((z == 0 or mask & 1 == 1) and scan_allowed(r, den, base, mask, max(preperiod_len - z, 0)))
+        den *= t
+        step, r = skip_zeros(r, den, base)
+        z += step
+    return members
 
 
 def digit_mask(num, den, base, preperiod_len):

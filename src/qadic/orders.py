@@ -14,6 +14,7 @@ from qadic.rational import (
     require_coprime,
     require_printable,
     require_residues,
+    shown,
 )
 
 __all__ = [
@@ -64,7 +65,7 @@ def _stabilization(p: int, q: int) -> tuple[int, int]:
 
     Modular powers only, so b = (q**order - 1) / p**k0 is never built."""
     if not is_prime(p):
-        raise PreconditionError(f"p = {p} is not prime")
+        raise PreconditionError(f"p = {shown(p)} is not prime")
     require("q", q, 2)
     require_coprime(q, p, "stabilization undefined")
     d2 = mult_order(q, p * p)

@@ -2,7 +2,8 @@
 used everywhere else, the precondition checks every module shares
 (`require`, `require_rational`, `require_coprime`, `require_digits`,
 `require_field`, `modulus_list`, `parse_natural`, `int_str_limit`,
-`require_printable`), and `Record`, the base of the frozen result classes.
+`require_printable`), `shown`, which prints a caller's number in their
+messages, and `Record`, the base of the frozen result classes.
 
 Integers are plain Python ints (arbitrary precision, always exact); rationals
 are `fractions.Fraction` values, kept in lowest terms by construction.
@@ -41,6 +42,7 @@ __all__ = [
     "require_residues",
     "int_str_limit",
     "require_printable",
+    "shown",
     "MAX_RESIDUES",
     "MAX_POINTS",
     "MAX_SCAN_BITS",
@@ -156,9 +158,9 @@ def format_rational(x) -> str:
 def require(name: str, value: int, minimum: int):
     """Raise unless value is a plain int (a bool is not one) and at least minimum."""
     if type(value) is not int:
-        raise PreconditionError(f"{name} = {value!r} is not an integer")
+        raise PreconditionError(f"{name} = {shown(value)} is not an integer")
     if value < minimum:
-        raise PreconditionError(f"{name} = {value}; need {name} >= {minimum}")
+        raise PreconditionError(f"{name} = {shown(value)}; need {name} >= {minimum}")
 
 
 def require_rational(name: str, value) -> Fraction:
@@ -173,7 +175,7 @@ def require_rational(name: str, value) -> Fraction:
 def require_coprime(a: int, m: int, what: str):
     g = math.gcd(a, m)
     if g != 1:
-        raise PreconditionError(f"{what}: gcd({a}, {m}) = {g}, not 1")
+        raise PreconditionError(f"{what}: gcd({shown(a)}, {shown(m)}) = {shown(g)}, not 1")
 
 
 def require_digits(digits, base: int):
@@ -191,7 +193,7 @@ def require_digits(digits, base: int):
             pass
     for d in digits:
         if type(d) is not int or not 0 <= d < base:
-            raise PreconditionError(f"digit {d!r} out of range for base {base}")
+            raise PreconditionError(f"digit {shown(d)} out of range for base {base}")
 
 
 def require_field(data, key: str, kind: type, what: str):
@@ -277,6 +279,23 @@ def require_printable(what: str, value: int = 0, log2_floor: int = 0):
         raise PreconditionError(f"{what} has more than {limit} decimal digits, {cap}")
 
 
+def shown(value) -> str:
+    """value as a message prints it: str() of an int or a Fraction whose
+    numerator and denominator have at most int_str_limit() digits each
+    (MAX_PRINT_DIGITS where no limit applies), a description by size in bits
+    of one past that, which str() may refuse, and repr() of anything else."""
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
+        return repr(value)
+    num, den = abs(value.numerator), value.denominator
+    ceiling = _power_of_ten(int_str_limit() or MAX_PRINT_DIGITS)
+    if num < ceiling and den < ceiling:
+        return str(value)
+    sign = "a negative" if value < 0 else "a"
+    if den == 1:
+        return f"{sign} {num.bit_length()}-bit integer"
+    return f"{sign} fraction of a {num.bit_length()}-bit numerator over a {den.bit_length()}-bit denominator"
+
+
 def modulus_list(values) -> tuple[int, ...]:
     """The moduli p_1..p_l as a tuple; they must be nonempty, distinct integers >= 2."""
     values = tuple(values)
@@ -285,7 +304,7 @@ def modulus_list(values) -> tuple[int, ...]:
     for p in values:
         require("modulus", p, 2)
     if len(set(values)) != len(values):
-        raise PreconditionError(f"repeated entries in modulus list {values}")
+        raise PreconditionError(f"repeated entries in modulus list ({', '.join(map(shown, values))})")
     return values
 
 
@@ -499,19 +518,27 @@ def euler_phi(n: int) -> int:
 def split_coprime_part(t: int, q: int) -> tuple[int, int, int]:
     """Split t = t_hat * u with gcd(t_hat, q) = 1 and u | q**v, v minimal.
 
-    Returns (t_hat, u, v).  Each division by gcd(t_hat, q) lowers v_p(t_hat)
-    by v_p(q), down to 0, for every prime p of q, so the loop runs the largest
-    ceil(v_p(t) / v_p(q)) times, which is exactly the minimal v."""
+    Returns (t_hat, u, v), in O(log v) gcds and modular powers.  u is the
+    part of t made of the primes of q: from gcd(t, q), each u -> gcd(t, u**2)
+    doubles every exponent of u up to the prime's exponent in t, so u reaches
+    it in about log2 v rounds and then stays.  v is one more than the largest
+    w with q**w != 0 mod u, which binary lifting over the squares
+    q**(2**j) mod u finds in about 2*log2 v products mod u."""
     require("t", t, 1)
     require("q", q, 2)
-    t_hat = t
-    v = 0
-    g = math.gcd(t_hat, q)
-    while g > 1:
-        t_hat //= g
-        v += 1
-        g = math.gcd(t_hat, q)
-    return t_hat, t // t_hat, v
+    u = math.gcd(t, q)
+    if u == 1:
+        return t, 1, 0
+    while (g := math.gcd(t, u * u)) != u:
+        u = g
+    squares = [q % u]  # q**(2**j) mod u, up to the first that is 0
+    while squares[-1]:
+        squares.append(squares[-1] ** 2 % u)
+    w, x = 0, 1  # x = q**w mod u, never 0
+    for j in range(len(squares) - 2, -1, -1):
+        if y := x * squares[j] % u:
+            w, x = w + (1 << j), y
+    return t // u, u, w + 1
 
 
 def valuation(n: int, p: int) -> int:

@@ -1,10 +1,12 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qadic.cantor import DigitCantorSet, Gap
+from qadic import kernels
+from qadic.cantor import DigitCantorSet, Gap, geometric_rows
 from qadic.certificates import make_certificate, verify_certificate
 from qadic.expansion import shift_digits
 from qadic.rational import PreconditionError
@@ -194,3 +196,103 @@ def test_dual_representation_completeness(K):
 def test_gap_dict_round_trip():
     gap = K32_02.largest_gap
     assert Gap.from_dict(gap.to_dict()) == gap
+
+
+def _point_rows(alpha, ratio, K, k_max):
+    # the per-point path: every alpha * ratio**k built and tested on its own
+    return [(k, x, x <= 1 and K.contains(x)) for k in range(k_max + 1) for x in [alpha * ratio**k]]
+
+
+def _planted(K, t, j, rng):
+    # m = 0.WWW... in base q repeats an n-digit word W with digits in A, so m
+    # is in K.  n is a multiple of the order of q mod t**j, so t**j divides
+    # q**n - 1, and W is drawn until it also divides m's denominator, with
+    # m's numerator prime to t: then alpha = m * t**j has a numerator prime
+    # to t, and the carried scan meets m at k = j
+    q, order = K.base, 1
+    while pow(q, order, t**j) != 1:
+        order += 1
+    for n in range(order, 20 * order, order):
+        for _ in range(20):
+            m = Fraction(int("".join(str(rng.choice(K.digits)) for _ in range(n)), q), q**n - 1)
+            if m < 1 and math.gcd(m.numerator, t) == 1 and m.denominator % t**j == 0:
+                return m
+    raise AssertionError(f"no planted member for K = {K}, t = {t}, j = {j}")
+
+
+def _digit_sets(q, rng):
+    # every size 2..q-1, each once with 0 allowed and once without
+    for size in range(2, q):
+        yield (0, *rng.sample(range(1, q), size - 1))
+        yield tuple(rng.sample(range(1, q), size))
+
+
+@pytest.fixture
+def scan_powers_calls(monkeypatch):
+    calls = []
+    scan_powers = kernels.scan_powers
+
+    def counted(*args):
+        calls.append(args)
+        return scan_powers(*args)
+
+    monkeypatch.setattr(kernels, "scan_powers", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 10])
+def test_carried_rows_match_the_point_rows(q, scan_powers_calls):
+    # ratio 1/t with gcd(t, q) = 1 and alpha's numerator prime to t: the
+    # carried scan of kernels.scan_powers, against contains point by point
+    rng = random.Random(q)
+    ts = [t for t in range(2, 40) if math.gcd(t, q) == 1]
+    for digits in _digit_sets(q, rng):
+        K = DigitCantorSet(q, digits)
+        t = rng.choice(ts)
+        # alpha > 1 (the first points lie above 1), alpha = 1, and alpha < 1
+        # with a q-part in its denominator (a preperiod)
+        s = rng.choice([s for s in range(t, 8 * t * t) if math.gcd(s, t) == 1])
+        d = rng.randrange(1, 20) * q ** rng.randrange(0, 3)
+        for alpha in (Fraction(s, rng.randrange(1, 5)), Fraction(1), Fraction(1, d)):
+            k_max = rng.randrange(5, 30)
+            assert geometric_rows(alpha, Fraction(1, t), K, k_max) == _point_rows(alpha, Fraction(1, t), K, k_max)
+        # planted at k = j: m in K; c.m, one digit c in A before m's digits,
+        # also in K and with a preperiod; and 0.0m, in K only when 0 is in A
+        j = rng.randrange(1, 3)
+        m = _planted(K, t, j, rng)
+        c = rng.choice(K.digits)
+        for x, member in ((m, True), ((c + m) / q, True), (m / q, 0 in K.digits)):
+            rows = geometric_rows(x * t**j, Fraction(1, t), K, j + 10)
+            assert rows == _point_rows(x * t**j, Fraction(1, t), K, j + 10)
+            assert rows[j] == (j, x, member)
+    assert len(scan_powers_calls) == 6 * 2 * (q - 2)
+
+
+def test_carried_rows_fall_back_to_the_point_rows(scan_powers_calls):
+    # t sharing a prime with q, alpha's numerator sharing one with t, and a
+    # ratio with numerator above 1 take the per-point path, with planted members
+    cases = (
+        (Fraction(1, 4), Fraction(1, 2), DigitCantorSet(10, (0, 2, 5))),
+        (Fraction(1), Fraction(1, 6), DigitCantorSet(4, (0, 1, 3))),
+        (Fraction(3, 7), Fraction(1, 12), DigitCantorSet(3, (0, 2))),
+        (Fraction(49, 4), Fraction(1, 7), DigitCantorSet(3, (0, 2))),
+        (Fraction(10, 3), Fraction(1, 10), DigitCantorSet(3, (0, 2))),
+        (Fraction(25, 2), Fraction(1, 5), DigitCantorSet(7, (0, 3, 6))),
+        (Fraction(1), Fraction(2, 7), DigitCantorSet(5, (0, 1, 4))),
+    )
+    for alpha, ratio, K in cases:
+        rows = geometric_rows(alpha, ratio, K, 30)
+        assert rows == _point_rows(alpha, ratio, K, 30)
+    assert geometric_rows(Fraction(49, 4), Fraction(1, 7), DigitCantorSet(3, (0, 2)), 3)[2][2]  # 1/4
+    assert not scan_powers_calls
+
+
+def test_carried_walk_period_cap(monkeypatch):
+    # 1/7 in base 10 has a 6-digit period, all in A: the carried walk lists it
+    # at a cap of 6 digits and refuses it at 5, as scan_allowed does
+    K = DigitCantorSet(10, (0, 1, 2, 4, 5, 7, 8))
+    monkeypatch.setattr(kernels, "MAX_DIGITS", 6)
+    assert geometric_rows(1, Fraction(1, 7), K, 1) == [(0, 1, False), (1, Fraction(1, 7), True)]
+    monkeypatch.setattr(kernels, "MAX_DIGITS", 5)
+    with pytest.raises(PreconditionError, match="MAX_DIGITS = 5"):
+        geometric_rows(1, Fraction(1, 7), K, 1)

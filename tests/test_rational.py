@@ -183,6 +183,32 @@ def test_split_coprime_part_round_trip(t, q):
         assert q ** (v - 1) % u != 0
 
 
+def _split_by_division(t, q):
+    # the division loop split_coprime_part used to run: one gcd per unit of v
+    t_hat, v = t, 0
+    while (g := math.gcd(t_hat, q)) > 1:
+        t_hat //= g
+        v += 1
+    return t_hat, t // t_hat, v
+
+
+def test_split_coprime_part_matches_the_division_loop():
+    rng = random.Random(20)
+    for _ in range(20000):
+        q = rng.choice((2, 3, 4, 6, 10, 12, 36, rng.randrange(2, 1000)))
+        shape = rng.randrange(3)
+        if shape == 0:  # a power of q times a small cofactor, v up to 60
+            t = q ** rng.randrange(0, 60) * rng.randrange(1, 100)
+        elif shape == 1:  # up to 300 random bits
+            t = rng.randrange(1, 2 ** rng.randrange(1, 300))
+        else:  # products of prime powers, some shared with q
+            t = math.prod(rng.choice((2, 3, 5, 7, 11)) ** rng.randrange(0, 40) for _ in range(3))
+        assert split_coprime_part(t, q) == _split_by_division(t, q), (t, q)
+    for q in (4, 12, 36):
+        for k in range(0, 200, 7):
+            assert split_coprime_part(q**k, q) == _split_by_division(q**k, q) == (1, q**k, k)
+
+
 def test_valuation():
     assert valuation(48, 2) == 4
     assert valuation(48, 3) == 1
@@ -286,6 +312,45 @@ def test_require_rejects_bools_floats_and_small_values():
         require_digits((0, 1) * 1000 + (5, True, 7), 3)
     with pytest.raises(PreconditionError, match=r"^digit True out of range for base 3$"):
         require_digits((1, 2) * 1000 + (True, 5), 3)
+
+
+HUGE = 10**5000  # past the default int-to-str limit of 4300 digits
+PAST_THE_LIMIT = [
+    ("geometric_rows k_max", "k_max", lambda: geometric_rows(1, Fraction(1, 2), K5, -HUGE)),
+    ("lattice_rows box", "box", lambda: lattice_rows(1, (2,), K5, -HUGE)),
+    ("shift_digits n", "n", lambda: shift_digits(Fraction(1, 2), 3, -HUGE)),
+    ("geometric_rows alpha", "alpha", lambda: geometric_rows(-HUGE, Fraction(1, 2), K5, 3)),
+    ("geometric_rows ratio", "ratio", lambda: geometric_rows(1, Fraction(HUGE, 3), K5, 3)),
+    ("contains", "x", lambda: K5.contains(Fraction(HUGE))),
+    ("expand", "x", lambda: expand(Fraction(HUGE), 3)),
+    ("alternate_expansion", "x", lambda: alternate_expansion(Fraction(1, HUGE + 1) - 1, 3)),
+    ("shift_digits x", "x", lambda: shift_digits(Fraction(-HUGE, 7), 3, 2)),
+    ("require_coprime", "gcd", lambda: rational.require_coprime(HUGE, HUGE, "gcd")),
+    ("require_digits", "digit", lambda: require_digits((HUGE,), 3)),
+    ("modulus_list", "repeated", lambda: rational.modulus_list((HUGE, HUGE))),
+]
+
+
+@pytest.mark.parametrize("name, call", [case[1:] for case in PAST_THE_LIMIT], ids=[case[0] for case in PAST_THE_LIMIT])
+def test_messages_describe_a_number_past_the_int_str_limit(name, call, int_str_limit):
+    # such a number used to raise ValueError from str() while the message was built
+    int_str_limit(4300)
+    with pytest.raises(PreconditionError, match=f"^{name}.* a (negative )?(16610-bit integer|fraction of)"):
+        call()
+
+
+def test_shown_prints_what_str_can_print(monkeypatch, int_str_limit):
+    int_str_limit(4300)
+    assert rational.shown(10**4300 - 1) == "9" * 4300
+    assert rational.shown(-(10**4300)) == "a negative 14285-bit integer"
+    assert rational.shown(Fraction(1, 10**4300)) == "a fraction of a 1-bit numerator over a 14285-bit denominator"
+    assert rational.shown(Fraction(-3, 4)) == "-3/4"
+    for other in (True, 0.5, "1/2", None):
+        assert rational.shown(other) == repr(other)
+    # where no limit applies, MAX_PRINT_DIGITS = 10**4 decides
+    int_str_limit(0)
+    assert rational.shown(10**4300) == "1" + "0" * 4300
+    assert rational.shown(10**10000) == "a 33220-bit integer"
 
 
 def test_parse_natural_accepts_only_ascii_digit_runs():
