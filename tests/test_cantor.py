@@ -257,7 +257,8 @@ def test_carried_rows_match_the_point_rows(q, scan_powers_calls):
             k_max = rng.randrange(5, 30)
             assert geometric_rows(alpha, Fraction(1, t), K, k_max) == _point_rows(alpha, Fraction(1, t), K, k_max)
         # planted at k = j: m in K; c.m, one digit c in A before m's digits,
-        # also in K and with a preperiod; and 0.0m, in K only when 0 is in A
+        # also in K, with a one-digit preperiod unless q cancels; and 0.0m, in
+        # K only when 0 is in A
         j = rng.randrange(1, 3)
         m = _planted(K, t, j, rng)
         c = rng.choice(K.digits)
@@ -270,7 +271,7 @@ def test_carried_rows_match_the_point_rows(q, scan_powers_calls):
 
 def test_carried_rows_fall_back_to_the_point_rows(scan_powers_calls):
     # t sharing a prime with q, alpha's numerator sharing one with t, and a
-    # ratio with numerator above 1 take the per-point path, with planted members
+    # ratio with numerator above 1 take the per-point path; 49/4 plants 1/4 at k = 2
     cases = (
         (Fraction(1, 4), Fraction(1, 2), DigitCantorSet(10, (0, 2, 5))),
         (Fraction(1), Fraction(1, 6), DigitCantorSet(4, (0, 1, 3))),
@@ -283,7 +284,7 @@ def test_carried_rows_fall_back_to_the_point_rows(scan_powers_calls):
     for alpha, ratio, K in cases:
         rows = geometric_rows(alpha, ratio, K, 30)
         assert rows == _point_rows(alpha, ratio, K, 30)
-    assert geometric_rows(Fraction(49, 4), Fraction(1, 7), DigitCantorSet(3, (0, 2)), 3)[2][2]  # 1/4
+    assert geometric_rows(Fraction(49, 4), Fraction(1, 7), DigitCantorSet(3, (0, 2)), 3)[2][2]
     assert not scan_powers_calls
 
 
