@@ -27,6 +27,20 @@ from test_golden_stdout import DATA, INT_STR_LIMIT, Replay, format_line  # noqa:
 
 SEEDS = (1, 2, 3)
 ROUNDS = 2
+# alpha / prod(p_j**k_j) lattices at their edges, replayed in both formats:
+# a first prime prime to q and a last one not, no prime prime to q, three
+# primes (all prime to q, and with q's prime last), a numerator sharing a
+# prime with the last prime prime to q (49/4 / 7**2 = 1/4), 0 not an allowed
+# digit, and box 0
+LATTICE_EDGE = (
+    ("enumerate", "--alpha", "1/4", "--q", "10", "--A", "0,2,5", "--primes", "3,5", "--box", "12"),
+    ("enumerate", "--alpha", "1/1", "--q", "10", "--A", "0,1,2,5", "--primes", "2,5", "--box", "10"),
+    ("enumerate", "--alpha", "1/2", "--q", "3", "--A", "0,2", "--primes", "5,2,7", "--box", "6"),
+    ("enumerate", "--alpha", "5/2", "--q", "3", "--A", "0,2", "--primes", "2,7,3", "--box", "5"),
+    ("enumerate", "--alpha", "49/4", "--q", "3", "--A", "0,2", "--primes", "2,7", "--box", "8"),
+    ("enumerate", "--alpha", "1/2", "--q", "7", "--A", "1,3,5", "--primes", "3,7", "--box", "12"),
+    ("enumerate", "--alpha", "1/4", "--q", "3", "--A", "0,2", "--primes", "2,5", "--box", "0"),
+)
 EDGE = (
     # a 50020-digit period: 2 is a primitive root mod the prime 50021
     ("expand", "--x", "1/50021", "--q", "2"),
@@ -50,6 +64,7 @@ EDGE = (
     ("enumerate", "--alpha", "1/2", "--q", "5", "--A", "1,3", "--ratio", "1/7", "--k-max", "50"),
     ("enumerate", "--alpha", "1/2", "--q", "5", "--A", "1,3", "--ratio", "1/7", "--k-max", "50",
      "--format", "csv"),
+    *((*argv, *fmt) for argv in LATTICE_EDGE for fmt in ((), ("--format", "csv"))),
 )
 
 
