@@ -156,53 +156,73 @@ def _check_scale(alpha, ratio=None, k_max=0) -> tuple[Fraction, Fraction | None]
     return alpha, ratio
 
 
-def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[int, Fraction, bool]]:
-    """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member).
+def _line_rows(start: Fraction, ratio: Fraction, K: DigitCantorSet, count: int) -> list[tuple[int, Fraction, bool]]:
+    """Rows (k, start*ratio**k, member) for k = 0..count-1, uncapped.
 
-    Capped before any point is built (`_check_scale`).  When the ratio is 1/t
-    with gcd(t, q) = 1 and alpha = s/d has gcd(s, t) = 1, each point below 1
-    with k >= 1 is s / (d * t**k) in lowest terms, with d's preperiod length
-    and a part prime to q above 1, so no trailing-(q-1) form applies:
-    `kernels.scan_powers` tests all of them in one pass, carrying the
-    remainder after each point's leading zeros to the next k.  Every other
-    point goes through `contains` on its own."""
-    alpha, ratio = _check_scale(alpha, ratio, k_max)
+    When the ratio is 1/t with gcd(t, q) = 1 and start = s/d has gcd(s, t) =
+    1, each point below 1 with k >= 1 is s / (d * t**k) in lowest terms, with
+    d's preperiod length and a part prime to q above 1, so no trailing-(q-1)
+    form applies: `kernels.scan_powers` tests all of them in one pass,
+    carrying the remainder after each point's leading zeros to the next k.
+    Every other point goes through `contains` on its own."""
 
     def row(k):
-        value = alpha * ratio**k
+        value = start * ratio**k
         return k, value, value <= 1 and K.contains(value)
 
-    s, d, t, q = alpha.numerator, alpha.denominator, ratio.denominator, K.base
+    s, d, t, q = start.numerator, start.denominator, ratio.denominator, K.base
     if ratio.numerator > 1 or math.gcd(t, q) > 1 or math.gcd(s, t) > 1:
-        return _par.pmap(row, list(range(k_max + 1)))
-    # k0, the first k >= 1 with alpha / t**k < 1; the points before it are above 1 from k = 1 on
+        return _par.pmap(row, list(range(count)))
+    # k0, the first k >= 1 with start / t**k < 1; the points before it are above 1 from k = 1 on
     k0, den = 1, d * t
-    while den <= s and k0 <= k_max:
+    while den <= s and k0 < count:
         k0, den = k0 + 1, den * t
-    rows = _par.pmap(row, list(range(min(k0, k_max + 1))))
-    if k0 <= k_max:
+    rows = _par.pmap(row, list(range(min(k0, count))))
+    if k0 < count:
         _, _, v = split_coprime_part(d, q)
         value = Fraction(s, den)
-        for k, member in enumerate(kernels.scan_powers(s, den, t, q, K.digit_mask, v, k_max + 1 - k0), k0):
+        for k, member in enumerate(kernels.scan_powers(s, den, t, q, K.digit_mask, v, count - k0), k0):
             rows.append((k, value, member))
             value /= t
     return rows
+
+
+def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[int, Fraction, bool]]:
+    """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member).
+
+    Capped before any point is built (`_check_scale`).  A ratio 1/t with
+    gcd(t, q) = 1 and an alpha whose numerator is prime to t take the
+    carried walk of `kernels.scan_powers` from k = 1 on (`_line_rows`)."""
+    alpha, ratio = _check_scale(alpha, ratio, k_max)
+    return _line_rows(alpha, ratio, K, k_max + 1)
 
 
 def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple[int, ...], Fraction, bool]]:
     """Evaluate alpha / prod(p_j**k_j) over [0, box]^l in lexicographic order.
 
     More than MAX_POINTS points, or more than MAX_SCAN_BITS bits summed over
-    the products prod(p_j**k_j), raise PreconditionError."""
+    the products prod(p_j**k_j), raise PreconditionError before any point is
+    built.  The lattice is scanned one line at a time along the carried
+    index j, the last whose modulus is prime to q (else the last index): for
+    each tuple of the other indices, the line start * p_j**-k_j with start =
+    alpha / prod(p_i**k_i), i != j, is a geometric row (`_line_rows`), and
+    each of its rows goes to its lexicographic slot."""
     alpha, _ = _check_scale(alpha)
     primes = modulus_list(primes)
     require("box", box, 0)
     points = (min(box, MAX_POINTS) + 1) ** len(primes)
     # each k_j takes every value in [0, box] equally often, box / 2 on average
     _require_points("box", points, points * box * sum(p.bit_length() for p in primes) // 2)
-
-    def row(k_tuple):
-        value = alpha / math.prod(p**k for p, k in zip(primes, k_tuple))
-        return k_tuple, value, value <= 1 and K.contains(value)
-
-    return _par.pmap(row, list(itertools.product(range(box + 1), repeat=len(primes))))
+    j = max((i for i, p in enumerate(primes) if math.gcd(p, K.base) == 1), default=len(primes) - 1)
+    others, ratio, n = primes[:j] + primes[j + 1:], Fraction(1, primes[j]), box + 1
+    # a line's k_j = 0 point has lexicographic slot head * n * stride + tail,
+    # for the line's index head * stride + tail among the lines; k_j adds k_j * stride
+    stride = n ** (len(primes) - 1 - j)
+    rows = [None] * points
+    for line, rest in enumerate(itertools.product(range(n), repeat=len(others))):
+        head, tail = divmod(line, stride)
+        slot = head * n * stride + tail
+        start = alpha / math.prod(p**k for p, k in zip(others, rest))
+        for k, value, member in _line_rows(start, ratio, K, n):
+            rows[slot + k * stride] = (rest[:j] + (k,) + rest[j:], value, member)
+    return rows

@@ -33,6 +33,7 @@ from qadic.rational import (
     require_field,
     require_printable,
     require_rational,
+    shown,
     split_coprime_part,
     valuation,
 )
@@ -61,12 +62,20 @@ def _witness_base(q: int, t: int, primes: tuple[int, ...], h: int):
     the moduli then take in the order given, each as many whole copies of
     itself as are left.  Of moduli sharing a prime, the earlier gets the excess.
     The callers check primes with modulus_list before the lookup: the cache
-    key would equate an entry 3.0 with 3.
+    key would equate an entry 3.0 with 3.  Raises PreconditionError before
+    anything is built when bits(t * P**(h+1)) * bits(t * P**(2h+1)), bounded
+    below from bits(t) and bits(P), passes MAX_POWER_COST: about the cost of
+    the power q**n0, n0 = phi(t * P**(h+1)), modulo t * P**(2h+1) or more.
     """
     require("q", q, 2)
     require("t", t, 1)
     require("h", h, 1)
     P = math.prod(primes)
+    e_bits = t.bit_length() + (h + 1) * (P.bit_length() - 1)
+    m_bits = e_bits + h * (P.bit_length() - 1)
+    if e_bits * m_bits > MAX_POWER_COST:
+        raise PreconditionError(f"bits(exponent) * bits(modulus) of the witness base = {shown(e_bits)} * "
+                                f"{shown(m_bits)} exceeds MAX_POWER_COST = {MAX_POWER_COST}")
     require_coprime(q, t * P, "q must be coprime to t times the moduli")
     n0 = euler_phi(t * P ** (h + 1))
     support = {p: dict(factorize(p)) for p in primes}

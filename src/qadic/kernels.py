@@ -8,13 +8,16 @@ remainder returns to the one after the preperiod; none keeps a table of
 remainders.  scan_allowed and digit_mask first skip the leading zero digits
 in a few bigint steps (skip_zeros), so a tiny value such as p**-n costs
 nothing per leading zero.  scan_powers tests a whole row num / (den * t**i),
-the points alpha * t**-k of a geometric scan: it carries the remainder after
-one point's leading zeros to the next point, a few factors of base further
-on, and runs scan_allowed's walk from there.  Integers only: no float enters
-any bound.
+the points alpha * t**-k of a geometric scan or of one line of a lattice: it
+carries the remainder after one point's leading zeros to the next point, a
+few factors of base further on, and runs scan_allowed's walk from there;
+when 0 is not an allowed digit it stops at the first point with a leading
+zero.  Integers only: no float enters any bound.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from qadic.rational import MAX_DIGITS, PreconditionError
 
@@ -56,6 +59,11 @@ def digit_cycle(num, den, base, preperiod_len):
 _LOG_POWER = 64
 
 
+@lru_cache(maxsize=64)
+def _log_bits(base):
+    return (base**_LOG_POWER).bit_length()
+
+
 def skip_zeros(num, den, base):
     """(z, num * base**z) for the largest z with num * base**z < den.
 
@@ -65,7 +73,7 @@ def skip_zeros(num, den, base):
     lengths prove keeps the product below den, so the gap shrinks to a few
     bits in a few rounds; exact comparisons take the last steps.
     """
-    log_bits = (base**_LOG_POWER).bit_length()
+    log_bits = _log_bits(base)
     z, r = 0, num
     # r < 2**r.bit_length() and 2**(den.bit_length() - 1) <= den, so the
     # product stays below den when base**step < 2**gap, with gap the bit
@@ -122,13 +130,16 @@ def scan_powers(num, den, t, base, mask, preperiod_len, count):
     below den * t**i; skip_zeros carries it on to the next point's, about
     log_base(t) digits further, so no point skips its zeros from num.  From
     r, scan_allowed walks the max(preperiod_len - z, 0) preperiod digits
-    left and one period, with early exit.  A point with a leading zero is
-    no member when 0 is not allowed.
+    left and one period, with early exit.  When 0 is not allowed, a point
+    with a leading zero is no member, and neither is any later, smaller
+    point: they are listed False without being carried.
     """
     members = []
     z, r = skip_zeros(num, den, base)
-    for _ in range(count):
-        members.append((z == 0 or mask & 1 == 1) and scan_allowed(r, den, base, mask, max(preperiod_len - z, 0)))
+    for i in range(count):
+        if z and not mask & 1:
+            return members + [False] * (count - i)
+        members.append(scan_allowed(r, den, base, mask, max(preperiod_len - z, 0)))
         den *= t
         step, r = skip_zeros(r, den, base)
         z += step

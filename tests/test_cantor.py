@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -6,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from qadic import kernels
-from qadic.cantor import DigitCantorSet, Gap, geometric_rows
+from qadic.cantor import DigitCantorSet, Gap, geometric_rows, lattice_rows
 from qadic.certificates import make_certificate, verify_certificate
 from qadic.expansion import shift_digits
-from qadic.rational import PreconditionError
+from qadic.rational import PreconditionError, split_coprime_part
 
 K32_02 = DigitCantorSet(3, (0, 2))
 K3_01 = DigitCantorSet(3, (0, 1))
@@ -286,6 +287,84 @@ def test_carried_rows_fall_back_to_the_point_rows(scan_powers_calls):
         assert rows == _point_rows(alpha, ratio, K, 30)
     assert geometric_rows(Fraction(49, 4), Fraction(1, 7), DigitCantorSet(3, (0, 2)), 3)[2][2]
     assert not scan_powers_calls
+
+
+def _lattice_point_rows(alpha, primes, K, box):
+    # the per-point path: every alpha / prod(p_j**k_j) built and tested on its own
+    return [(kt, x, x <= 1 and K.contains(x)) for kt in itertools.product(range(box + 1), repeat=len(primes))
+            for x in [alpha / math.prod(p**k for p, k in zip(primes, kt))]]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 10])
+def test_lattice_rows_match_the_point_rows(q, scan_powers_calls):
+    # lines along the last modulus prime to q, carried by kernels.scan_powers
+    # where the line's start has a numerator prime to it, against contains
+    # point by point; the modulus sharing a prime with q first, in the
+    # middle and last, and q's own prime alone
+    rng = random.Random(q)
+    shared = min(p for p in (2, 3, 5, 7) if q % p == 0)
+    coprime = [p for p in (2, 3, 5, 7, 11, 13) if q % p]
+    for digits in _digit_sets(q, rng):
+        K = DigitCantorSet(q, digits)
+        a, b = rng.sample(coprime, 2)
+        for primes, box in (((a,), 12), ((shared,), 12), ((a, b), 7), ((shared, a), 7), ((a, shared), 7),
+                            ((shared, a, b), 3), ((a, shared, b), 3), ((a, b, shared), 3)):
+            c = ([p for p in primes if q % p] or primes)[-1]
+            # planted at k_c = j, the other k_i 0: a carried line meets m there
+            j = rng.randrange(1, 3)
+            m = _planted(K, c, j, rng) if q % c else K.max_point
+            d = rng.randrange(1, 20) * q ** rng.randrange(0, 3)
+            alphas = [m * c**j, Fraction(1), Fraction(1, d), Fraction(rng.randrange(2, 200), rng.randrange(1, 5))]
+            before = len(scan_powers_calls)
+            for alpha in alphas:
+                rows = lattice_rows(alpha, primes, K, box)
+                assert rows == _lattice_point_rows(alpha, primes, K, box)
+            assert (tuple(j if p == c else 0 for p in primes), m, True) in lattice_rows(m * c**j, primes, K, box)
+            assert (len(scan_powers_calls) > before) == (q % c != 0)
+            # a numerator sharing the carried modulus (unless q cancels it) keeps
+            # every line on the per-point path; box 0 is the point alpha alone
+            before = len(scan_powers_calls)
+            dens = [d for d in range(1, 60) if d % c]
+            for alpha in (Fraction(c**2 * rng.randrange(1, 9), rng.choice(dens)),
+                          Fraction(c, rng.choice(dens) * q ** rng.randrange(1, 3))):
+                assert lattice_rows(alpha, primes, K, box) == _lattice_point_rows(alpha, primes, K, box)
+            assert len(scan_powers_calls) == before
+            assert lattice_rows(m, primes, K, 0) == [((0,) * len(primes), m, True)]
+
+
+def test_lattice_rows_with_no_modulus_prime_to_q(scan_powers_calls):
+    # q = 10 and moduli 2, 5: terminating points, some members only by their
+    # trailing-9 form; lines along the last index, all per point
+    K = DigitCantorSet(10, (0, 1, 2, 5, 9))
+    for alpha in (Fraction(1), Fraction(1, 4), Fraction(3, 7), Fraction(25, 2)):
+        assert lattice_rows(alpha, (2, 5), K, 9) == _lattice_point_rows(alpha, (2, 5), K, 9)
+    assert not scan_powers_calls
+
+
+def test_scan_powers_stops_at_a_leading_zero_without_0(monkeypatch):
+    # with 0 not allowed, the first point with a leading zero ends the
+    # carried walk; its rows equal scan_allowed on every point, and
+    # skip_zeros runs once per point up to that one
+    skip_zeros = kernels.skip_zeros
+    calls = []
+    monkeypatch.setattr(kernels, "skip_zeros", lambda *args: calls.append(args) or skip_zeros(*args))
+    rng = random.Random(7)
+    for q, digits, t in ((3, (1, 2), 2), (5, (1, 3), 7), (10, (1, 4, 7), 3), (7, (2, 3, 5, 6), 4), (4, (0, 1, 3), 5)):
+        mask = kernels.mask_of(digits)
+        for _ in range(20):
+            den = rng.randrange(2, 200) * rng.choice([1, q, q * q])
+            num = rng.randrange(1, den)
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            if math.gcd(num, t) > 1:
+                continue
+            _, _, v = split_coprime_part(den, q)
+            calls.clear()
+            assert kernels.scan_powers(num, den, t, q, mask, v, 30) == [
+                kernels.scan_allowed(num, den * t**i, q, mask, v) for i in range(30)]
+            if not mask & 1:
+                first_zero = next(i for i in range(30) if num * q < den * t**i)
+                assert len(calls) == first_zero + 1
 
 
 def test_carried_walk_period_cap(monkeypatch):

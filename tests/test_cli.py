@@ -421,18 +421,38 @@ def test_witness_and_certify_at_the_exponent_edge(capsys):
          "MAX_SCAN_BITS = 10000000"),
         (("bound", "--alpha", str(10**4000 - 1), "--q", "3", "--A", "0,1", "--primes", "2"),
          "MAX_SCAN_BITS = 10000000"),
+        (("witness", "--q", "3", "--t", "1", "--primes", "5", "--h", "10000", "--k", "10005"),
+         "MAX_POWER_COST = 40000000"),
+        (("witness", "--q", "3", "--t", "1", "--primes", "5", "--h", str(2**64 + 1), "--k", str(2**64 + 6)),
+         "MAX_POWER_COST = 40000000"),
     ],
 )
 def test_input_sized_walks_fail_fast(capsys, argv, cap):
     # a period of up to 10**9 digits, or 10**9 and 10**10 points, each once
     # held in a list: no answer in 15 s, 70 MB of stdout, or a MemoryError;
     # or a legal number of points whose denominators sum to far past
-    # MAX_SCAN_BITS, such as bound's scan to k_alpha = 13290, which took 4.6 s
+    # MAX_SCAN_BITS, such as bound's scan to k_alpha = 13290, which took 4.6 s;
+    # or a witness base whose phi(t * P**(h+1)) ran for more than 5 s at
+    # h = 10000, and at h = 2**64 + 1 would build P**(h+1)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("precondition violated:") and cap in err
+
+
+def test_witness_and_bound_at_large_sizes(capsys):
+    # h = 1000 stays below MAX_POWER_COST; a 2000-digit base took 43 s in
+    # bound's scan while skip_zeros computed base**64 on every call
+    for argv in (
+        ("witness", "--q", "3", "--t", "1", "--primes", "5", "--h", "1000", "--k", "1005"),
+        ("bound", "--alpha", "2/3", "--q", "9" * 2000, "--A", "0,2", "--primes", "7"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert json.loads(out)
 
 
 @pytest.mark.parametrize(
