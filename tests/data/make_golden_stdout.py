@@ -6,7 +6,7 @@ each with the exit code and digest of its stdout on the current tree.
 The commands come from the benchmark's job generator (perfbench/jobs.py):
 the first two rounds of seeds 1-3 of every workload, with the certify --k
 resolved from the round's bound output as the runner resolves it, then the
-other output format of every enumerate and dp job among them, then EDGE.
+other output format of every enumerate and dp job among them, then EDGE (DIGIT_EDGE last).
 The test reads only the file this writes, so a change to the benchmark does
 not change the golden set.
 """
@@ -41,6 +41,29 @@ LATTICE_EDGE = (
     ("enumerate", "--alpha", "1/2", "--q", "7", "--A", "1,3,5", "--primes", "3,7", "--box", "12"),
     ("enumerate", "--alpha", "1/4", "--q", "3", "--A", "0,2", "--primes", "2,5", "--box", "0"),
 )
+# digit_set cells whose digits take more than one character, in CSV: for
+# each base, a geometric scan, a lattice scan and dp, with 0 in A and
+# without it; each A holds the repeated digit of a small fraction such as
+# 1/2 or 1/3 in that base, so some rows are members
+_DIGIT_BASES = (
+    # q, A with 0, A without 0, alpha, ratio, primes, p, exp_max
+    ("11", "0,5,10", "2,5,8,10", "1/1", "1/2", "2,3", "2", "12"),
+    ("16", "0,5,10,15", "1,3,5,10,12", "1/1", "1/3", "3,5", "3", "8"),
+    ("36", "0,7,14,21,28,35", "7,14,21,28,35", "2/1", "1/5", "5,7", "5", "6"),
+    ("37", "0,9,12,18,27", "4,9,12,18,24,27", "1/1", "1/2", "2,3", "2", "12"),
+    ("256", "0,85,170,255", "51,85,170,204", "1/1", "1/2", "2,3", "3", "8"),
+    ("1000", "0,27,37,333,999", "27,37,111,333,666", "1/1", "1/27", "3,5", "3", "8"),
+)
+DIGIT_EDGE = tuple(
+    command
+    for q, with_0, without_0, alpha, ratio, primes, p, exp_max in _DIGIT_BASES
+    for A in (with_0, without_0)
+    for command in (
+        ("enumerate", "--alpha", alpha, "--q", q, "--A", A, "--ratio", ratio, "--k-max", "12", "--format", "csv"),
+        ("enumerate", "--alpha", alpha, "--q", q, "--A", A, "--primes", primes, "--box", "5", "--format", "csv"),
+        ("dp", "--p", p, "--q", q, "--A", A, "--exp-max", exp_max, "--format", "csv"),
+    )
+)
 EDGE = (
     # a 50020-digit period: 2 is a primitive root mod the prime 50021
     ("expand", "--x", "1/50021", "--q", "2"),
@@ -65,6 +88,7 @@ EDGE = (
     ("enumerate", "--alpha", "1/2", "--q", "5", "--A", "1,3", "--ratio", "1/7", "--k-max", "50",
      "--format", "csv"),
     *((*argv, *fmt) for argv in LATTICE_EDGE for fmt in ((), ("--format", "csv"))),
+    *DIGIT_EDGE,
 )
 
 
