@@ -75,8 +75,9 @@ class DigitCantorSet(Record):
             )
 
     @cached_property
-    def digit_mask(self) -> int:
-        return kernels.mask_of(self.digits)
+    def allowed(self) -> frozenset[int]:
+        """The digits of A as a set, for the membership walks."""
+        return frozenset(self.digits)
 
     @cached_property
     def min_point(self) -> Fraction:
@@ -115,10 +116,10 @@ class DigitCantorSet(Record):
     def contains(self, x) -> bool:
         """Exact membership test for x in [0, 1], an int or a Fraction.
 
-        Scans the canonical digits with early exit; if they terminate and
-        fail, falls back to the alternate (trailing-(q-1)) expansion.  A
-        member whose period is longer than MAX_DIGITS digits raises
-        PreconditionError (`kernels.scan_allowed`)."""
+        Scans the canonical digits against the set `allowed` with early exit;
+        if they terminate and fail, falls back to the alternate
+        (trailing-(q-1)) expansion.  A member whose period is longer than
+        MAX_DIGITS digits raises PreconditionError (`kernels.scan_allowed`)."""
         x = require_rational("x", x)
         if not 0 <= x <= 1:
             raise PreconditionError(f"x = {shown(x)} outside [0, 1]")
@@ -128,10 +129,10 @@ class DigitCantorSet(Record):
             return self.base - 1 in self.digits
         num, den = x.numerator, x.denominator
         t_hat, _, v = split_coprime_part(den, self.base)
-        if kernels.scan_allowed(num, den, self.base, self.digit_mask, v):
+        if kernels.scan_allowed(num, den, self.base, self.allowed, v):
             return True
         if t_hat == 1 and self.base - 1 in self.digits:
-            return alternate_expansion(x, self.base).digits_used() <= set(self.digits)
+            return alternate_expansion(x, self.base).digits_used() <= self.allowed
         return False
 
 
@@ -181,7 +182,7 @@ def _line_rows(start: Fraction, ratio: Fraction, K: DigitCantorSet, count: int) 
     if k0 < count:
         _, _, v = split_coprime_part(d, q)
         value = Fraction(s, den)
-        for k, member in enumerate(kernels.scan_powers(s, den, t, q, K.digit_mask, v, count - k0), k0):
+        for k, member in enumerate(kernels.scan_powers(s, den, t, q, K.allowed, v, count - k0), k0):
             rows.append((k, value, member))
             value /= t
     return rows

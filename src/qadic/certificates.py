@@ -63,16 +63,20 @@ def _witness_base(q: int, t: int, primes: tuple[int, ...], h: int):
     itself as are left.  Of moduli sharing a prime, the earlier gets the excess.
     The callers check primes with modulus_list before the lookup: the cache
     key would equate an entry 3.0 with 3.  Raises PreconditionError before
-    anything is built when bits(t * P**(h+1)) * bits(t * P**(2h+1)), bounded
-    below from bits(t) and bits(P), passes MAX_POWER_COST: about the cost of
-    the power q**n0, n0 = phi(t * P**(h+1)), modulo t * P**(2h+1) or more.
+    anything is built when bits(t * P**(h+1)) * bits(t * P**(2h+1)),
+    estimated from bits(t) and log2(P) rounded up to a multiple of 1/64,
+    passes MAX_POWER_COST: about the cost of the power q**n0, n0 =
+    phi(t * P**(h+1)), modulo t * P**(2h+1) or more.
     """
     require("q", q, 2)
     require("t", t, 1)
     require("h", h, 1)
     P = math.prod(primes)
-    e_bits = t.bit_length() + (h + 1) * (P.bit_length() - 1)
-    m_bits = e_bits + h * (P.bit_length() - 1)
+    # p_bits = bits(c**64) for c = ceil(P / 2**shift), as kernels._log_bits: p_bits / 64 > log2(P)
+    shift = max(P.bit_length() - 64, 0)
+    p_bits = 64 * shift + ((-(-P >> shift)) ** 64).bit_length()
+    e_bits = t.bit_length() + (h + 1) * p_bits // 64
+    m_bits = e_bits + h * p_bits // 64
     if e_bits * m_bits > MAX_POWER_COST:
         raise PreconditionError(f"bits(exponent) * bits(modulus) of the witness base = {shown(e_bits)} * "
                                 f"{shown(m_bits)} exceeds MAX_POWER_COST = {MAX_POWER_COST}")

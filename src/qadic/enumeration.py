@@ -209,15 +209,15 @@ def all_digits_onset(alpha, ratio, q: int, k_max: int) -> int | None:
 
     None when the last scanned index still misses a digit (no onset shown
     within the bound).  Indices whose value exceeds or reaches 1 count as not
-    full.  The scan is capped as in geometric_rows."""
+    full.  The scan is capped as in geometric_rows; each point is the one
+    before times ratio."""
     require("q", q, 3)
     alpha, ratio = _check_scale(alpha, ratio, k_max)
-    every = set(range(q))
-    last_bad = -1
+    last_bad, value = -1, alpha
     for k in range(k_max + 1):
-        value = alpha * ratio**k
-        if value >= 1 or digit_set(value, q) != every:
+        if value >= 1 or len(digit_set(value, q)) < q:
             last_bad = k
+        value *= ratio
     if last_bad == k_max:
         return None
     return last_bad + 1

@@ -155,11 +155,11 @@ def digit_set(x, q: int) -> set[int]:
     Stops as soon as all q digits have been seen, so this stays cheap even
     when the period itself is astronomically long, and skips the leading
     zeros of a tiny x such as p**-n in a few bigint steps; a period walk past
-    MAX_DIGITS digits raises PreconditionError (`kernels.digit_mask`)."""
+    MAX_DIGITS digits raises PreconditionError (`kernels.digit_mask`, which
+    collects the set)."""
     x = _check_expansion_domain(x, q)
     _, _, v = split_coprime_part(x.denominator, q)
-    mask = kernels.digit_mask(x.numerator, x.denominator, q, v)
-    return set(kernels.mask_digits(mask))
+    return kernels.digit_mask(x.numerator, x.denominator, q, v)
 
 
 def alternate_expansion(x, q: int) -> ExpansionQ | None:

@@ -1,18 +1,20 @@
 """The digit loops, in pure Python; arbitrary precision, and every period
-walk capped at rational.MAX_DIGITS digits.
+walk capped at rational.MAX_DIGITS digits (fewer in a base past 64 bits).
 
 digit_cycle, scan_allowed and digit_mask all walk the long division of
 num/den (0 <= num < den) in the given base: the preperiod, whose length the
 caller passes (the v of split_coprime_part), then one period, until the
 remainder returns to the one after the preperiod; none keeps a table of
-remainders.  scan_allowed and digit_mask first skip the leading zero digits
-in a few bigint steps (skip_zeros), so a tiny value such as p**-n costs
-nothing per leading zero.  scan_powers tests a whole row num / (den * t**i),
-the points alpha * t**-k of a geometric scan or of one line of a lattice: it
-carries the remainder after one point's leading zeros to the next point, a
-few factors of base further on, and runs scan_allowed's walk from there;
-when 0 is not an allowed digit it stops at the first point with a leading
-zero.  Integers only: no float enters any bound.
+remainders.  Digit sets are Python sets, in any base: scan_allowed tests
+each digit against the allowed set, and digit_mask returns the set it met.
+scan_allowed and digit_mask first skip the leading zero digits in a few
+bigint steps (skip_zeros), so a tiny value such as p**-n costs nothing per
+leading zero.  scan_powers tests a whole row num / (den * t**i), the points
+alpha * t**-k of a geometric scan or of one line of a lattice: it carries
+the remainder after one point's leading zeros to the next point, a few
+factors of base further on, and runs scan_allowed's walk from there; when 0
+is not an allowed digit it stops at the first point with a leading zero.
+Integers only: no float enters any bound.
 """
 
 from __future__ import annotations
@@ -24,6 +26,15 @@ from qadic.rational import MAX_DIGITS, PreconditionError
 
 def backend() -> str:
     return "pure"
+
+
+_PER_WORD = ", a digit of a base past 64 bits counting once per 64 bits"
+
+
+def _period_cap(base):
+    # the most period digits a walk takes: with a digit of a wide base counted
+    # once per 64 bits, a base of thousands of bits costs about as much as 10
+    return MAX_DIGITS // -(-base.bit_length() // 64)
 
 
 def digit_cycle(num, den, base, preperiod_len):
@@ -45,13 +56,13 @@ def digit_cycle(num, den, base, preperiod_len):
         pre.append(d)
     sentinel = r
     period = []
-    for _ in range(MAX_DIGITS):
+    for _ in range(_period_cap(base)):
         r *= base
         d, r = divmod(r, den)
         period.append(d)
         if r == sentinel:
             return pre, period
-    raise PreconditionError(f"the period of the expansion is longer than MAX_DIGITS = {MAX_DIGITS} digits")
+    raise PreconditionError(f"the period of the expansion is longer than MAX_DIGITS = {MAX_DIGITS} digits{_PER_WORD}")
 
 
 # With L = (base**_LOG_POWER).bit_length(), base**_LOG_POWER < 2**L, so
@@ -87,11 +98,11 @@ def skip_zeros(num, den, base):
     return z, r
 
 
-def scan_allowed(num, den, base, mask, preperiod_len):
-    """True iff every digit of the expansion has its bit set in mask.
+def scan_allowed(num, den, base, allowed, preperiod_len):
+    """True iff every digit of the expansion is in the set allowed.
 
     Walks the preperiod then exactly one period, stopping at the first digit
-    outside the mask.  num/den must be in lowest terms and preperiod_len must
+    outside allowed.  num/den must be in lowest terms and preperiod_len must
     be at least the true preperiod length, or the walk never meets its start
     again and raises PreconditionError after MAX_DIGITS period digits, as a
     longer period does.  When 0 is allowed, the leading zeros are skipped in
@@ -101,26 +112,26 @@ def scan_allowed(num, den, base, mask, preperiod_len):
     from it is walked.
     """
     r = num
-    if num and mask & 1:
+    if num and 0 in allowed:
         z, r = skip_zeros(num, den, base)
         preperiod_len = max(preperiod_len - z, 0)
     for _ in range(preperiod_len):
         r *= base
         d, r = divmod(r, den)
-        if not (mask >> d) & 1:
+        if d not in allowed:
             return False
     sentinel = r
-    for _ in range(MAX_DIGITS):
+    for _ in range(_period_cap(base)):
         r *= base
         d, r = divmod(r, den)
-        if not (mask >> d) & 1:
+        if d not in allowed:
             return False
         if r == sentinel:
             return True
-    raise PreconditionError(f"the period of the expansion is longer than MAX_DIGITS = {MAX_DIGITS} digits")
+    raise PreconditionError(f"the period of the expansion is longer than MAX_DIGITS = {MAX_DIGITS} digits{_PER_WORD}")
 
 
-def scan_powers(num, den, t, base, mask, preperiod_len, count):
+def scan_powers(num, den, t, base, allowed, preperiod_len, count):
     """[scan_allowed(num, den * t**i, ...) for i in range(count)], in one pass.
 
     num/den must be in lowest terms with 0 < num < den and preperiod length
@@ -137,9 +148,9 @@ def scan_powers(num, den, t, base, mask, preperiod_len, count):
     members = []
     z, r = skip_zeros(num, den, base)
     for i in range(count):
-        if z and not mask & 1:
+        if z and 0 not in allowed:
             return members + [False] * (count - i)
-        members.append(scan_allowed(r, den, base, mask, max(preperiod_len - z, 0)))
+        members.append(scan_allowed(r, den, base, allowed, max(preperiod_len - z, 0)))
         den *= t
         step, r = skip_zeros(r, den, base)
         z += step
@@ -147,49 +158,31 @@ def scan_powers(num, den, t, base, mask, preperiod_len, count):
 
 
 def digit_mask(num, den, base, preperiod_len):
-    """Bitmask of the digits occurring in the expansion.
+    """The set of the digits occurring in the expansion (named when it was a bitmask).
 
     Stops early once all `base` digits have been seen; otherwise walks the
     preperiod plus one full period.  The leading zeros are skipped in one
-    skip_zeros call, which sets bit 0 if there is at least one, and the walk
-    goes on from the remainder after them as in scan_allowed, and stops with
+    skip_zeros call, which adds 0 if there is at least one, and the walk goes
+    on from the remainder after them as in scan_allowed, stopping with
     PreconditionError after MAX_DIGITS period digits as scan_allowed does."""
-    full = (1 << base) - 1
-    mask = 0
+    seen = set()
     r = num
     if num:
         z, r = skip_zeros(num, den, base)
-        mask = 1 if z else 0
+        if z:
+            seen.add(0)
         preperiod_len = max(preperiod_len - z, 0)
     for _ in range(preperiod_len):
         r *= base
         d, r = divmod(r, den)
-        mask |= 1 << d
-        if mask == full:
-            return mask
+        seen.add(d)
+        if len(seen) == base:
+            return seen
     sentinel = r
-    for _ in range(MAX_DIGITS):
+    for _ in range(_period_cap(base)):
         r *= base
         d, r = divmod(r, den)
-        mask |= 1 << d
-        if mask == full or r == sentinel:
-            return mask
-    raise PreconditionError(f"the period of the expansion is longer than MAX_DIGITS = {MAX_DIGITS} digits")
-
-
-def mask_of(digits) -> int:
-    mask = 0
-    for d in digits:
-        mask |= 1 << d
-    return mask
-
-
-def mask_digits(mask: int) -> tuple[int, ...]:
-    out = []
-    d = 0
-    while mask:
-        if mask & 1:
-            out.append(d)
-        mask >>= 1
-        d += 1
-    return tuple(out)
+        seen.add(d)
+        if len(seen) == base or r == sentinel:
+            return seen
+    raise PreconditionError(f"the period of the expansion is longer than MAX_DIGITS = {MAX_DIGITS} digits{_PER_WORD}")

@@ -1,9 +1,16 @@
+import contextlib
+import csv
+import io
 import json
+import math
 import os
+import random
 import re
+import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -425,15 +432,23 @@ def test_witness_and_certify_at_the_exponent_edge(capsys):
          "MAX_POWER_COST = 40000000"),
         (("witness", "--q", "3", "--t", "1", "--primes", "5", "--h", str(2**64 + 1), "--k", str(2**64 + 6)),
          "MAX_POWER_COST = 40000000"),
+        (("witness", "--q", "3", "--t", "1", "--primes", "5", "--h", "2230", "--k", "2235"),
+         "MAX_POWER_COST = 40000000"),
+        (("expand", "--x", "1/" + "9" * 300, "--q", "9" * 2000), "MAX_DIGITS = 1000000"),
+        (("enumerate", "--alpha", "1/2", "--q", "9" * 2000, "--A", "0,2", "--ratio", "1/7", "--k-max", "7",
+          "--format", "csv"), "MAX_DIGITS = 1000000"),
     ],
 )
 def test_input_sized_walks_fail_fast(capsys, argv, cap):
     # a period of up to 10**9 digits, or 10**9 and 10**10 points, each once
     # held in a list: no answer in 15 s, 70 MB of stdout, or a MemoryError;
+    # or a period walk in a 2000-digit base, past 3 s and 100 MB before a
+    # digit past 64 bits counted once per 64 bits against MAX_DIGITS;
     # or a legal number of points whose denominators sum to far past
     # MAX_SCAN_BITS, such as bound's scan to k_alpha = 13290, which took 4.6 s;
     # or a witness base whose phi(t * P**(h+1)) ran for more than 5 s at
-    # h = 10000, and at h = 2**64 + 1 would build P**(h+1)
+    # h = 10000, and at h = 2**64 + 1 would build P**(h+1); at h = 2230 it
+    # passed a cap that charged bits(P) - 1 < log2(P) per factor, and took 1.8 s
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
@@ -560,3 +575,174 @@ def test_malformed_rational_rejected(capsys):
     assert err.startswith("precondition violated:")
     code, _, _ = run_cli(capsys, "member", "--x", "1/2", "--q", "3", "--A", "0,x")
     assert code == 2
+
+
+def _long_division(x, q):
+    """(preperiod, period) of x in [0, 1) in base q, stepping a Fraction until it recurs."""
+    seen, digits = {}, []
+    while x not in seen:
+        seen[x] = len(digits)
+        digits.append(math.floor(x * q))
+        x = x * q - digits[-1]
+    return digits[:seen[x]], digits[seen[x]:]
+
+
+def _in_cantor_set(x, q, A):
+    """x in K(q, A), from the digits of x and, if x terminates, of its form ending in q - 1s."""
+    if x >= 1:
+        return x == 1 and q - 1 in A
+    pre, per = _long_division(x, q)
+    if set(pre + per) <= A:
+        return True
+    return per == [0] and bool(pre) and set(pre[:-1] + [pre[-1] - 1, q - 1]) <= A
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--alpha", "1/2", "--q", "1000000", "--A", "0,2", "--ratio", "1/7", "--k-max", "2",
+         "--format", "csv"),
+        ("enumerate", "--alpha", "1/2", "--q", "9" * 2000, "--A", "0,2", "--ratio", "1/7", "--k-max", "3",
+         "--format", "csv"),
+        ("dp", "--p", "7", "--q", str(2**70), "--A", "0,2", "--exp-max", "2", "--format", "csv"),
+        ("member", "--x", "1/2", "--q", str(10**31), "--A", f"0,{10**30}"),
+        ("enumerate", "--alpha", "1/3", "--q", str(10**31), "--A", f"0,{10**30}", "--ratio", "1/7", "--k-max", "5"),
+    ],
+)
+def test_huge_bases_answer_fast(capsys, argv):
+    # a digit set was an int bitmask of q bits: the first command took 21 s
+    # shifting a 10**6-bit mask once per digit of each cell, the others
+    # exited 1 with OverflowError building 1 << q or 1 << d for a digit d of A.
+    # Every row, digit cell and member is checked against long division.
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    q, A = int(opts["--q"]), set(map(int, opts["--A"].split(",")))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    if argv[0] == "member":
+        assert json.loads(out) == {"member": _in_cantor_set(Fraction(opts["--x"]), q, A)}
+        return
+    if argv[0] == "dp":
+        N = int(opts["--p"]) ** int(opts["--exp-max"])
+        values = sorted({Fraction(a, N) for a in range(N)}, key=lambda x: (x.denominator, x.numerator))
+        values = [x for x in values if _in_cantor_set(x, q, A)]
+    else:
+        alpha, ratio = Fraction(opts["--alpha"]), Fraction(opts["--ratio"])
+        values = [alpha * ratio**k for k in range(int(opts["--k-max"]) + 1)]
+    if "--format" not in opts:
+        assert json.loads(out)["members"] == [k for k, x in enumerate(values) if _in_cantor_set(x, q, A)]
+        return
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["index", "value", "member", "digit_set"]
+    assert [Fraction(value) for _, value, _, _ in rows[1:]] == values
+    for _, value, member, cell in rows[1:]:
+        pre, per = _long_division(Fraction(value), q)
+        assert cell == " ".join(map(str, sorted(set(pre + per))))
+        assert json.loads(member) == _in_cantor_set(Fraction(value), q, A)
+
+
+# The hostile-input sweep: seeded commands of every subcommand, each argument
+# drawn from a sane pool or, one time in three, from a hostile one.  The
+# bases include large ones, and a digit set may hold digits next to q.
+SWEEP_COMMANDS = 400
+_HOSTILE = ("0", "-1", "1/0", "True", "3.0", "", str(2**32 + 1), str(2**64 + 1), "1000003", "9" * 5001)
+_INTS = ("1", "2", "3", "5", "7", "10", "12", "97")
+_BASES = ("3", "4", "10", "16", str(2**64 + 1), str(10**6), "9" * 2000)
+_RATIONALS = ("1/2", "2/3", "1/7", "49/4", "5/4", "10/3", "7" * 300 + "/" + "3" * 300, "1/" + "9" * 300)
+_LISTS = ("2", "7", "2,7", "3,5", "0,1,3", "0,0,2", "0,,1", "0," + "9" * 5000)
+_POOLS = {
+    "a": _INTS, "m": _INTS, "p": _INTS, "t": _INTS, "h": _INTS, "k-max": _INTS, "box": _INTS, "exp-max": _INTS,
+    "x": _RATIONALS, "alpha": _RATIONALS, "ratio": _RATIONALS, "q": _BASES, "primes": _LISTS,
+    "k": ("1", "5", "40", "300", "2,9", "40,300"),
+}
+_SUBCOMMANDS = {
+    "expand": ("x", "q"), "member": ("x", "q", "A"), "gap": ("q", "A"), "order": ("a", "m"),
+    "stabilize": ("p", "q"), "cosets": ("m", "q"), "witness": ("q", "t", "primes", "h", "k"),
+    "bound": ("alpha", "q", "A", "primes"), "certify": ("alpha", "q", "A", "primes", "k"),
+    "enumerate": ("alpha", "q", "A"), "dp": ("p", "q", "A", "exp-max"), "euclid": ("q", "k"),
+    "deps": ("p", "q"), "verify": ("cert",),
+}
+
+
+def _json_value(text):
+    return int(text) if text.lstrip("-").isdigit() and len(text) < 4300 else text
+
+
+def _certificate_text(rng):
+    """A certificate's JSON with one field hostile, or one time in ten a hostile text."""
+    if rng.random() < 0.1:
+        return rng.choice(_HOSTILE)
+    base = int(rng.choice(_BASES))
+    doc = {"value": "1/7", "base": base, "digits": [0, base - 1], "exponent": "1", "residue": "1/7",
+           "gap": {"left": "1/3", "right": "2/3"}}
+    doc[rng.choice(sorted(doc))] = rng.choice([True, None, 3.0, [], {}, *map(_json_value, _HOSTILE + _LISTS)])
+    return json.dumps(doc)
+
+
+def _sweep_value(rng, field, argv, cert):
+    if field == "cert":
+        cert.write_text(_certificate_text(rng), encoding="utf-8")
+        return str(cert)
+    if rng.random() < 1 / 3:
+        return rng.choice(_HOSTILE + _LISTS)
+    if field == "A":
+        q = _json_value(argv[argv.index("--q") + 1])
+        q = q if type(q) is int else 10
+        return rng.choice(("0,2", "0,1", "1,3", "0,1,5", f"0,{q - 1}", f"{q - 2},{q - 1}", f"1,{q - 1}", f"0,{q}"))
+    return rng.choice(_POOLS[field])
+
+
+def _sweep_command(rng, cert):
+    subcommand = rng.choice(sorted(_SUBCOMMANDS))
+    fields = _SUBCOMMANDS[subcommand]
+    if subcommand == "enumerate":
+        fields += ("ratio", "k-max") if rng.random() < 0.5 else ("primes", "box")
+    argv = [subcommand]
+    for field in fields:
+        argv += [f"--{field}", _sweep_value(rng, field, argv, cert)]
+    if subcommand in ("enumerate", "dp") and rng.random() < 1 / 3:
+        argv += ["--format", "csv"]
+    return argv
+
+
+class _Overtime(BaseException):
+    """Raised by SIGALRM; not an Exception, so main cannot turn it into exit 1."""
+
+
+def _exit_code_within(argv, seconds):
+    """main(argv)'s exit code, argparse's included, or "overtime" past the given seconds."""
+
+    def overtime(signum, frame):
+        raise _Overtime
+
+    previous = signal.signal(signal.SIGALRM, overtime)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    except SystemExit as exc:
+        return exc.code
+    except _Overtime:
+        return "overtime"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_seeded_hostile_inputs_exit_0_or_2(tmp_path):
+    # no input may crash (exit 1) or hang (past 3 s).  Its first runs found
+    # period walks in a base of 2000 digits running on past 3 s with digit
+    # sets of hundreds of MB, until a digit past 64 bits counted once per
+    # 64 bits against MAX_DIGITS
+    rng = random.Random(12)
+    start = time.perf_counter()
+    failures = []
+    for _ in range(SWEEP_COMMANDS):
+        argv = _sweep_command(rng, tmp_path / "cert.json")
+        code = _exit_code_within(argv, 3)
+        if code not in (0, 2):
+            failures.append((code, [a if len(a) < 40 else f"<{len(a)} characters>" for a in argv]))
+    assert failures == []
+    assert time.perf_counter() - start < 5

@@ -335,6 +335,14 @@ def test_all_digits_onset_absent_and_rejected():
         all_digits_onset(0, Fraction(1, 2), 3, 10)
 
 
+def test_all_digits_onset_in_a_huge_base():
+    # no expansion of 1/7**k holds 10**31 distinct digits, so no onset; the
+    # scan once built set(range(10**31)) to compare each digit set with
+    start = time.perf_counter()
+    assert all_digits_onset(1, Fraction(1, 7), 10**31, 3) is None
+    assert time.perf_counter() - start < 1
+
+
 def test_all_digits_onset_capped(monkeypatch):
     # the scan of geometric_rows, capped the same way: for ratio 1/2, 3162 is
     # the first k_max rejected (10,001,406 bits); uncapped, 6000 ran past 17 s

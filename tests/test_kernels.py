@@ -59,14 +59,13 @@ def test_backend_reports_mode():
 def _check_scan_and_mask(num, den, base, pre, per):
     """scan_allowed and digit_mask agree with the digits (pre, per) of num/den."""
     used = set(pre) | set(per)
-    used_mask = sum(1 << d for d in used)
     for pad in (0, 3):
         v = len(pre) + pad
-        assert kernels.digit_mask(num, den, base, v) == used_mask
-        assert kernels.scan_allowed(num, den, base, used_mask, v)
-        assert kernels.scan_allowed(num, den, base, (1 << base) - 1, v)
+        assert kernels.digit_mask(num, den, base, v) == used
+        assert kernels.scan_allowed(num, den, base, frozenset(used), v)
+        assert kernels.scan_allowed(num, den, base, frozenset(range(base)), v)
         for d in used:
-            assert not kernels.scan_allowed(num, den, base, used_mask & ~(1 << d), v)
+            assert not kernels.scan_allowed(num, den, base, frozenset(used - {d}), v)
 
 
 def test_loops_match_long_division_beyond_64_bits():
@@ -106,7 +105,7 @@ def test_tiny_values_skip_zeros_exactly():
             assert kernels.digit_cycle(num, den, base, split_coprime_part(den, base)[2]) == (pre, per)
             _check_scan_and_mask(num, den, base, pre, per)
             # 0 disallowed: the first digit already fails
-            assert not kernels.scan_allowed(num, den, base, (1 << base) - 2, len(pre))
+            assert not kernels.scan_allowed(num, den, base, frozenset(range(1, base)), len(pre))
     assert seen == {"z < v", "z = v", "z > v", "z > v = 0"}
 
 
@@ -148,18 +147,10 @@ def test_scan_tolerates_padded_preperiod():
     # any bound at least the true preperiod length must give the same verdict
     for num, den, base in _samples(100, 5_000, 2106):
         _, _, v = split_coprime_part(den, base)
-        mask = (1 << base) - 2
-        base_verdict = kernels.scan_allowed(num, den, base, mask, v)
+        allowed = frozenset(range(1, base))
+        base_verdict = kernels.scan_allowed(num, den, base, allowed, v)
         for pad in (1, 5, 17):
-            assert kernels.scan_allowed(num, den, base, mask, v + pad) == base_verdict
-
-
-def test_mask_round_trip():
-    assert kernels.mask_of((0, 2, 5)) == 0b100101
-    assert kernels.mask_digits(0b100101) == (0, 2, 5)
-    assert kernels.mask_digits(kernels.mask_of(())) == ()
-    for digits in ((0,), (1, 3), (0, 1, 2, 3, 4)):
-        assert kernels.mask_digits(kernels.mask_of(digits)) == digits
+            assert kernels.scan_allowed(num, den, base, allowed, v + pad) == base_verdict
 
 
 def test_digit_cycle_period_cap(monkeypatch):
@@ -174,7 +165,7 @@ def test_digit_cycle_period_cap(monkeypatch):
 def test_scan_walks_period_cap(monkeypatch):
     # 5/6 in base 3 has a preperiod of one digit; walked as if it had none,
     # the period walk never meets its start again, and once ran forever
-    short = (lambda: kernels.scan_allowed(5, 6, 3, 0b110, 0), lambda: kernels.digit_mask(5, 6, 3, 0))
+    short = (lambda: kernels.scan_allowed(5, 6, 3, frozenset((1, 2)), 0), lambda: kernels.digit_mask(5, 6, 3, 0))
     for call in short:
         start = time.perf_counter()
         with pytest.raises(PreconditionError, match="MAX_DIGITS = 1000000"):
@@ -182,13 +173,30 @@ def test_scan_walks_period_cap(monkeypatch):
         assert time.perf_counter() - start < 1
     # 1/7 in base 10 has a 6-digit period: walked at a cap of 6, refused at 5
     monkeypatch.setattr(kernels, "MAX_DIGITS", 6)
-    assert kernels.scan_allowed(1, 7, 10, (1 << 10) - 1, 0)
-    assert kernels.digit_mask(1, 7, 10, 0) == kernels.mask_of((1, 4, 2, 8, 5, 7))
+    assert kernels.scan_allowed(1, 7, 10, frozenset(range(10)), 0)
+    assert kernels.digit_mask(1, 7, 10, 0) == {1, 4, 2, 8, 5, 7}
     for call in short:
         with pytest.raises(PreconditionError, match="MAX_DIGITS = 6"):
             call()
     monkeypatch.setattr(kernels, "MAX_DIGITS", 5)
     with pytest.raises(PreconditionError, match="MAX_DIGITS = 5"):
-        kernels.scan_allowed(1, 7, 10, (1 << 10) - 1, 0)
+        kernels.scan_allowed(1, 7, 10, frozenset(range(10)), 0)
     with pytest.raises(PreconditionError, match="MAX_DIGITS = 5"):
         kernels.digit_mask(1, 7, 10, 0)
+
+
+def test_period_cap_counts_a_wide_digit_once_per_64_bits(monkeypatch):
+    # 1/7 in base 2**64 + 1, a base of 65 bits, has a 6-digit period; each
+    # digit counts twice, so the walks take it at a cap of 12 and refuse it at 11
+    base = 2**64 + 1
+    monkeypatch.setattr(kernels, "MAX_DIGITS", 12)
+    pre, per = kernels.digit_cycle(1, 7, base, 0)
+    assert (pre, per) == _long_division(1, 7, base) and len(per) == 6
+    assert kernels.scan_allowed(1, 7, base, frozenset(per), 0)
+    assert kernels.digit_mask(1, 7, base, 0) == set(per)
+    monkeypatch.setattr(kernels, "MAX_DIGITS", 11)
+    for call in (kernels.digit_cycle, kernels.digit_mask):
+        with pytest.raises(PreconditionError, match="MAX_DIGITS = 11 digits, a digit of a base past 64 bits"):
+            call(1, 7, base, 0)
+    with pytest.raises(PreconditionError, match="MAX_DIGITS = 11"):
+        kernels.scan_allowed(1, 7, base, frozenset(per), 0)

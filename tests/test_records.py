@@ -200,10 +200,10 @@ def test_pickle_and_copy_round_trips(name):
 def test_digit_cantor_set_cached_properties():
     K = DigitCantorSet(3, (1, 0, 1))
     assert K.digits == (0, 1)  # normalised in __post_init__ by object.__setattr__
-    assert (K.digit_mask, K.min_point, K.max_point) == (0b11, Fraction(0), Fraction(1, 2))
+    assert (K.allowed, K.min_point, K.max_point) == ({0, 1}, Fraction(0), Fraction(1, 2))
     gap = K.largest_gap
     assert gap == Gap(Fraction(1, 2), Fraction(1)) and K.largest_gap is gap
-    assert {"digit_mask", "min_point", "max_point", "largest_gap"} <= set(vars(K))
+    assert {"allowed", "min_point", "max_point", "largest_gap"} <= set(vars(K))
     # the cached values take no part in equality, hashing or the repr
     fresh = DigitCantorSet(3, (0, 1))
     assert K == fresh and hash(K) == hash(fresh) and repr(K) == repr(fresh)
