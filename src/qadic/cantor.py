@@ -1,8 +1,13 @@
 """Restricted-digit Cantor sets: points of [0, 1] admitting an expansion using only digits from A.
 
 Membership is existential, so a point with a disallowed canonical digit can
-still belong via its trailing-(q-1) representation.  geometric_rows and
-lattice_rows test the scaled points alpha*ratio**k and alpha / prod(p_j**k_j)."""
+still belong via its trailing-(q-1) representation.  The scans of the
+scaled points alpha*ratio**k and alpha / prod(p_j**k_j) come in two steps.
+The membership walk (`_line_members`) yields one flag per point of a
+geometric line; geometric_members and lattice_members read the members
+straight from those flags, for JSON `enumerate` and `bound`.  The second
+step (`_line_rows`) puts a value on each flag, and only geometric_rows and
+lattice_rows, the rows of CSV tables and of the library, run it."""
 
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from qadic.rational import (
     split_coprime_part,
 )
 
-__all__ = ["Gap", "DigitCantorSet", "geometric_rows", "lattice_rows"]
+__all__ = ["Gap", "DigitCantorSet", "geometric_rows", "geometric_members", "lattice_rows", "lattice_members"]
 
 
 class Gap(Record):
@@ -157,34 +162,43 @@ def _check_scale(alpha, ratio=None, k_max=0) -> tuple[Fraction, Fraction | None]
     return alpha, ratio
 
 
-def _line_rows(start: Fraction, ratio: Fraction, K: DigitCantorSet, count: int) -> list[tuple[int, Fraction, bool]]:
-    """Rows (k, start*ratio**k, member) for k = 0..count-1, uncapped.
+def _line_members(start: Fraction, ratio: Fraction, K: DigitCantorSet, count: int) -> list[bool]:
+    """Membership flags of start*ratio**k for k = 0..count-1, uncapped.
 
     When the ratio is 1/t with gcd(t, q) = 1 and start = s/d has gcd(s, t) =
     1, each point below 1 with k >= 1 is s / (d * t**k) in lowest terms, with
     d's preperiod length and a part prime to q above 1, so no trailing-(q-1)
     form applies: `kernels.scan_powers` tests all of them in one pass,
     carrying the remainder after each point's leading zeros to the next k.
-    Every other point goes through `contains` on its own."""
+    Every other point is built and goes through `contains` on its own.  No
+    value of the carried points is built."""
 
-    def row(k):
+    def member(k):
         value = start * ratio**k
-        return k, value, value <= 1 and K.contains(value)
+        return value <= 1 and K.contains(value)
 
     s, d, t, q = start.numerator, start.denominator, ratio.denominator, K.base
     if ratio.numerator > 1 or math.gcd(t, q) > 1 or math.gcd(s, t) > 1:
-        return _par.pmap(row, list(range(count)))
+        return _par.pmap(member, list(range(count)))
     # k0, the first k >= 1 with start / t**k < 1; the points before it are above 1 from k = 1 on
     k0, den = 1, d * t
     while den <= s and k0 < count:
         k0, den = k0 + 1, den * t
-    rows = _par.pmap(row, list(range(min(k0, count))))
+    flags = _par.pmap(member, list(range(min(k0, count))))
     if k0 < count:
         _, _, v = split_coprime_part(d, q)
-        value = Fraction(s, den)
-        for k, member in enumerate(kernels.scan_powers(s, den, t, q, K.allowed, v, count - k0), k0):
-            rows.append((k, value, member))
-            value /= t
+        flags += kernels.scan_powers(s, den, t, q, K.allowed, v, count - k0)
+    return flags
+
+
+def _line_rows(start: Fraction, ratio: Fraction, K: DigitCantorSet, count: int) -> list[tuple[int, Fraction, bool]]:
+    """Rows (k, start*ratio**k, member) for k = 0..count-1, uncapped: the
+    flags of `_line_members`, each with its value, built as the one before
+    times ratio.  Only the callers that print values come here."""
+    rows, value = [], start
+    for k, member in enumerate(_line_members(start, ratio, K, count)):
+        rows.append((k, value, member))
+        value *= ratio
     return rows
 
 
@@ -193,21 +207,31 @@ def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[in
 
     Capped before any point is built (`_check_scale`).  A ratio 1/t with
     gcd(t, q) = 1 and an alpha whose numerator is prime to t take the
-    carried walk of `kernels.scan_powers` from k = 1 on (`_line_rows`)."""
+    carried walk of `kernels.scan_powers` from k = 1 on (`_line_members`);
+    `_line_rows` puts a value on each flag, for CSV tables and the library."""
     alpha, ratio = _check_scale(alpha, ratio, k_max)
     return _line_rows(alpha, ratio, K, k_max + 1)
 
 
-def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple[int, ...], Fraction, bool]]:
-    """Evaluate alpha / prod(p_j**k_j) over [0, box]^l in lexicographic order.
+def geometric_members(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[int]:
+    """The k in 0..k_max with alpha*ratio**k in K, in increasing order.
+
+    The flags of geometric_rows, under the same cap, with no value built."""
+    alpha, ratio = _check_scale(alpha, ratio, k_max)
+    return [k for k, member in enumerate(_line_members(alpha, ratio, K, k_max + 1)) if member]
+
+
+def _lattice_lines(alpha, primes, K: DigitCantorSet, box: int):
+    """The lines of the lattice alpha / prod(p_j**k_j) over [0, box]^l.
 
     More than MAX_POINTS points, or more than MAX_SCAN_BITS bits summed over
-    the products prod(p_j**k_j), raise PreconditionError before any point is
-    built.  The lattice is scanned one line at a time along the carried
-    index j, the last whose modulus is prime to q (else the last index): for
-    each tuple of the other indices, the line start * p_j**-k_j with start =
-    alpha / prod(p_i**k_i), i != j, is a geometric row (`_line_rows`), and
-    each of its rows goes to its lexicographic slot."""
+    the products prod(p_j**k_j), raise PreconditionError before the first
+    line.  Lines run along the carried index j, the last whose modulus is
+    prime to q (else the last index): for each tuple of the other indices,
+    the line start * p_j**-k_j, k_j = 0..box, with start = alpha /
+    prod(p_i**k_i), i != j.  Yields (start, 1/p_j, slots, before, after) per
+    line: slots[k_j] is the lexicographic slot of the line's point k_j, and
+    before + (k_j,) + after its index tuple."""
     alpha, _ = _check_scale(alpha)
     primes = modulus_list(primes)
     require("box", box, 0)
@@ -219,11 +243,33 @@ def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple
     # a line's k_j = 0 point has lexicographic slot head * n * stride + tail,
     # for the line's index head * stride + tail among the lines; k_j adds k_j * stride
     stride = n ** (len(primes) - 1 - j)
-    rows = [None] * points
     for line, rest in enumerate(itertools.product(range(n), repeat=len(others))):
         head, tail = divmod(line, stride)
         slot = head * n * stride + tail
         start = alpha / math.prod(p**k for p, k in zip(others, rest))
-        for k, value, member in _line_rows(start, ratio, K, n):
-            rows[slot + k * stride] = (rest[:j] + (k,) + rest[j:], value, member)
-    return rows
+        yield start, ratio, range(slot, slot + n * stride, stride), rest[:j], rest[j:]
+
+
+def lattice_rows(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[tuple[int, ...], Fraction, bool]]:
+    """Evaluate alpha / prod(p_j**k_j) over [0, box]^l in lexicographic order.
+
+    Capped before any point is built, and scanned one line at a time
+    (`_lattice_lines`): each line's rows come from `_line_rows` and go to
+    their lexicographic slots."""
+    placed = {}
+    for start, ratio, slots, before, after in _lattice_lines(alpha, primes, K, box):
+        for slot, (k, value, member) in zip(slots, _line_rows(start, ratio, K, len(slots))):
+            placed[slot] = (before + (k,) + after, value, member)
+    return [placed[slot] for slot in range(len(placed))]
+
+
+def lattice_members(alpha, primes, K: DigitCantorSet, box: int) -> list[tuple[int, ...]]:
+    """The tuples of [0, box]^l with alpha / prod(p_j**k_j) in K, in lexicographic order.
+
+    The flags of lattice_rows, line by line from `_line_members`, under the
+    same caps, with no value built; the member tuples are sorted at the end."""
+    found = []
+    for start, ratio, slots, before, after in _lattice_lines(alpha, primes, K, box):
+        flags = _line_members(start, ratio, K, len(slots))
+        found += [before + (k,) + after for k, member in enumerate(flags) if member]
+    return sorted(found)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from qadic.cantor import DigitCantorSet, Gap, _check_scale, geometric_rows
+from qadic.cantor import DigitCantorSet, Gap, _check_scale, geometric_members
 from qadic.rational import (
     SMALL_PRIMES,
     PreconditionError,
@@ -245,8 +245,9 @@ def exclusion_bound(alpha, K: DigitCantorSet, primes, scan_empirical: bool = Tru
     minimal h with 2**h > 1/g; split the witness residue b into b_hat/p_hat;
     choose the smallest m with x < m/p_hat < y; then the minimal k_alpha with
     k_alpha >= k0 + 2h whose tail drops below y - m/p_hat.  The empirical
-    scan of alpha / P**k for k = 0..k_alpha is geometric_rows with the ratio
-    1/P, capped (MAX_POINTS, MAX_SCAN_BITS) before it starts."""
+    scan of alpha / P**k for k = 0..k_alpha is geometric_members with the
+    ratio 1/P, capped (MAX_POINTS, MAX_SCAN_BITS) before it starts: member
+    flags only, no value built."""
     primes = modulus_list(primes)
     q = K.base
     P = math.prod(primes)
@@ -275,8 +276,8 @@ def exclusion_bound(alpha, K: DigitCantorSet, primes, scan_empirical: bool = Tru
     k_alpha = k + r
     empirical_k = None
     if scan_empirical:
-        rows = geometric_rows(alpha, Fraction(1, P), K, k_alpha)
-        empirical_k = max((k + 1 for k, _, member in rows if member), default=0)
+        members = geometric_members(alpha, Fraction(1, P), K, k_alpha)
+        empirical_k = members[-1] + 1 if members else 0
     return ExclusionBound(alpha, K, primes, h, gap, b, k0, b_hat, p_hat, m, k_alpha, r, empirical_k)
 
 

@@ -15,7 +15,7 @@ import io
 import json
 import sys
 
-from qadic import enumeration
+from qadic import enumeration, kernels
 from qadic.cantor import DigitCantorSet
 from qadic.certificates import congruence_witness, exclusion_bound, make_certificate, verify_certificate
 from qadic.expansion import digit_set, expand
@@ -162,12 +162,16 @@ def _json_text(doc) -> str:
 
 def _csv_table(rows, q: int) -> str:
     """An enumeration table: one CSV row per (index, value, member), with the
-    digits of the value's base-q expansion, left empty for a value >= 1."""
+    digits of the value's base-q expansion, left empty for a value >= 1.
+
+    The digit cells' period walks share one budget (`kernels.period_steps`):
+    past MAX_DIGITS period digits in all, the table raises PreconditionError."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "value", "member", "digit_set"])
+    steps = kernels.period_steps(q)
     for index, value, member in rows:
-        digits = "" if value >= 1 else " ".join(str(d) for d in sorted(digit_set(value, q)))
+        digits = "" if value >= 1 else " ".join(str(d) for d in sorted(digit_set(value, q, steps)))
         writer.writerow((index, format_rational(value), json.dumps(member), digits))
     return buf.getvalue()
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qadic.cantor import DigitCantorSet, _check_scale, geometric_rows, lattice_rows
+from qadic.cantor import DigitCantorSet, _check_scale, geometric_members, geometric_rows, lattice_members, lattice_rows
 from qadic.certificates import ExclusionBound, exclusion_bound
 from qadic.expansion import ExpansionQ, digit_set, expand
 from qadic.rational import (
@@ -68,8 +68,7 @@ def exceptional_geometric(alpha, ratio, K: DigitCantorSet, k_max: int) -> Except
 
     When every prime of the ratio's denominator divides the base the finite-set
     hypothesis fails (the set may be infinite) and the report says so."""
-    rows = geometric_rows(alpha, ratio, K, k_max)
-    members = tuple(k for k, _, member in rows if member)
+    members = tuple(geometric_members(alpha, ratio, K, k_max))
     t = ratio.denominator
     t_hat, _, _ = split_coprime_part(t, K.base)
     tail = None
@@ -88,9 +87,8 @@ def exceptional_geometric(alpha, ratio, K: DigitCantorSet, k_max: int) -> Except
 def exceptional_lattice(alpha, primes, K: DigitCantorSet, box: int) -> ExceptionalReport:
     """All tuples in [0, box]^l whose scaled value lies in K, with a certified
     tail covering [k_alpha, inf)^l when the moduli are coprime to the base."""
-    rows = lattice_rows(alpha, primes, K, box)
+    members = tuple(lattice_members(alpha, primes, K, box))
     primes = tuple(primes)
-    members = tuple(k_tuple for k_tuple, _, member in rows if member)
     guaranteed = all(split_coprime_part(p, K.base)[0] > 1 for p in primes)
     tail = None
     if math.gcd(math.prod(primes), K.base) == 1:

@@ -149,17 +149,18 @@ def expand(x, q: int) -> ExpansionQ:
     return ExpansionQ(q, tuple(pre), tuple(per))
 
 
-def digit_set(x, q: int) -> set[int]:
+def digit_set(x, q: int, steps=None) -> set[int]:
     """The set of digits occurring in the canonical expansion of x.
 
     Stops as soon as all q digits have been seen, so this stays cheap even
     when the period itself is astronomically long, and skips the leading
     zeros of a tiny x such as p**-n in a few bigint steps; a period walk past
     MAX_DIGITS digits raises PreconditionError (`kernels.digit_mask`, which
-    collects the set)."""
+    collects the set).  steps, a budget from `kernels.period_steps(q)`,
+    makes the walks of several calls share MAX_DIGITS."""
     x = _check_expansion_domain(x, q)
     _, _, v = split_coprime_part(x.denominator, q)
-    return kernels.digit_mask(x.numerator, x.denominator, q, v)
+    return kernels.digit_mask(x.numerator, x.denominator, q, v, steps)
 
 
 def alternate_expansion(x, q: int) -> ExpansionQ | None:

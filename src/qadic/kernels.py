@@ -14,6 +14,8 @@ alpha * t**-k of a geometric scan or of one line of a lattice: it carries
 the remainder after one point's leading zeros to the next point, a few
 factors of base further on, and runs scan_allowed's walk from there; when 0
 is not an allowed digit it stops at the first point with a leading zero.
+digit_mask may draw its period digits from a budget that several walks
+share (period_steps), as the digit cells of one CSV table do.
 Integers only: no float enters any bound.
 """
 
@@ -35,6 +37,14 @@ def _period_cap(base):
     # the most period digits a walk takes: with a digit of a wide base counted
     # once per 64 bits, a base of thousands of bits costs about as much as 10
     return MAX_DIGITS // -(-base.bit_length() // 64)
+
+
+def period_steps(base):
+    """A budget of period digits in base: an iterator of the digits one walk
+    may take, MAX_DIGITS counted as _period_cap counts them.  digit_mask
+    takes one item per period digit, so walks handed the same iterator
+    share the budget."""
+    return iter(range(_period_cap(base)))
 
 
 def digit_cycle(num, den, base, preperiod_len):
@@ -157,14 +167,19 @@ def scan_powers(num, den, t, base, allowed, preperiod_len, count):
     return members
 
 
-def digit_mask(num, den, base, preperiod_len):
+def digit_mask(num, den, base, preperiod_len, steps=None):
     """The set of the digits occurring in the expansion (named when it was a bitmask).
 
     Stops early once all `base` digits have been seen; otherwise walks the
     preperiod plus one full period.  The leading zeros are skipped in one
     skip_zeros call, which adds 0 if there is at least one, and the walk goes
     on from the remainder after them as in scan_allowed, stopping with
-    PreconditionError after MAX_DIGITS period digits as scan_allowed does."""
+    PreconditionError after MAX_DIGITS period digits as scan_allowed does.
+    steps, a budget from period_steps(base) that other walks may share,
+    replaces this walk's own: each period digit takes one item from it, and
+    the walk stops with PreconditionError once it runs out."""
+    shared = steps is not None
+    steps = steps if shared else period_steps(base)
     seen = set()
     r = num
     if num:
@@ -179,10 +194,12 @@ def digit_mask(num, den, base, preperiod_len):
         if len(seen) == base:
             return seen
     sentinel = r
-    for _ in range(_period_cap(base)):
+    for _ in steps:
         r *= base
         d, r = divmod(r, den)
         seen.add(d)
         if len(seen) == base or r == sentinel:
             return seen
+    if shared:
+        raise PreconditionError(f"the period walks sharing one budget take more than MAX_DIGITS = {MAX_DIGITS} digits in all{_PER_WORD}")
     raise PreconditionError(f"the period of the expansion is longer than MAX_DIGITS = {MAX_DIGITS} digits{_PER_WORD}")

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from qadic import kernels
-from qadic.cantor import DigitCantorSet, Gap, geometric_rows, lattice_rows
-from qadic.certificates import make_certificate, verify_certificate
+from qadic import cantor, cli, kernels
+from qadic.cantor import DigitCantorSet, Gap, geometric_members, geometric_rows, lattice_members, lattice_rows
+from qadic.certificates import exclusion_bound, make_certificate, verify_certificate
+from qadic.enumeration import exceptional_geometric, exceptional_lattice
 from qadic.expansion import shift_digits
 from qadic.rational import PreconditionError, split_coprime_part
 
@@ -241,10 +242,9 @@ def scan_powers_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 10])
-def test_carried_rows_match_the_point_rows(q, scan_powers_calls):
-    # ratio 1/t with gcd(t, q) = 1 and alpha's numerator prime to t: the
-    # carried scan of kernels.scan_powers, against contains point by point
+def _carried_cases(q):
+    # ratio 1/t with gcd(t, q) = 1 and alpha's numerator prime to t, for
+    # every digit-set size: (alpha, t, K, k_max, the planted row or None)
     rng = random.Random(q)
     ts = [t for t in range(2, 40) if math.gcd(t, q) == 1]
     for digits in _digit_sets(q, rng):
@@ -255,8 +255,7 @@ def test_carried_rows_match_the_point_rows(q, scan_powers_calls):
         s = rng.choice([s for s in range(t, 8 * t * t) if math.gcd(s, t) == 1])
         d = rng.randrange(1, 20) * q ** rng.randrange(0, 3)
         for alpha in (Fraction(s, rng.randrange(1, 5)), Fraction(1), Fraction(1, d)):
-            k_max = rng.randrange(5, 30)
-            assert geometric_rows(alpha, Fraction(1, t), K, k_max) == _point_rows(alpha, Fraction(1, t), K, k_max)
+            yield alpha, t, K, rng.randrange(5, 30), None
         # planted at k = j: m in K; c.m, one digit c in A before m's digits,
         # also in K, with a one-digit preperiod unless q cancels; and 0.0m, in
         # K only when 0 is in A
@@ -264,29 +263,80 @@ def test_carried_rows_match_the_point_rows(q, scan_powers_calls):
         m = _planted(K, t, j, rng)
         c = rng.choice(K.digits)
         for x, member in ((m, True), ((c + m) / q, True), (m / q, 0 in K.digits)):
-            rows = geometric_rows(x * t**j, Fraction(1, t), K, j + 10)
-            assert rows == _point_rows(x * t**j, Fraction(1, t), K, j + 10)
-            assert rows[j] == (j, x, member)
+            yield x * t**j, t, K, j + 10, (j, x, member)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 10])
+def test_carried_rows_match_the_point_rows(q, scan_powers_calls):
+    # the carried scan of kernels.scan_powers, against contains point by point
+    for alpha, t, K, k_max, planted in _carried_cases(q):
+        rows = geometric_rows(alpha, Fraction(1, t), K, k_max)
+        assert rows == _point_rows(alpha, Fraction(1, t), K, k_max)
+        if planted:
+            assert rows[planted[0]] == planted
     assert len(scan_powers_calls) == 6 * 2 * (q - 2)
 
 
+# t sharing a prime with q, alpha's numerator sharing one with t, and a
+# ratio with numerator above 1 take the per-point path; 49/4 plants 1/4 at k = 2
+_FALLBACK_CASES = (
+    (Fraction(1, 4), Fraction(1, 2), DigitCantorSet(10, (0, 2, 5))),
+    (Fraction(1), Fraction(1, 6), DigitCantorSet(4, (0, 1, 3))),
+    (Fraction(3, 7), Fraction(1, 12), DigitCantorSet(3, (0, 2))),
+    (Fraction(49, 4), Fraction(1, 7), DigitCantorSet(3, (0, 2))),
+    (Fraction(10, 3), Fraction(1, 10), DigitCantorSet(3, (0, 2))),
+    (Fraction(25, 2), Fraction(1, 5), DigitCantorSet(7, (0, 3, 6))),
+    (Fraction(1), Fraction(2, 7), DigitCantorSet(5, (0, 1, 4))),
+)
+
+
 def test_carried_rows_fall_back_to_the_point_rows(scan_powers_calls):
-    # t sharing a prime with q, alpha's numerator sharing one with t, and a
-    # ratio with numerator above 1 take the per-point path; 49/4 plants 1/4 at k = 2
-    cases = (
-        (Fraction(1, 4), Fraction(1, 2), DigitCantorSet(10, (0, 2, 5))),
-        (Fraction(1), Fraction(1, 6), DigitCantorSet(4, (0, 1, 3))),
-        (Fraction(3, 7), Fraction(1, 12), DigitCantorSet(3, (0, 2))),
-        (Fraction(49, 4), Fraction(1, 7), DigitCantorSet(3, (0, 2))),
-        (Fraction(10, 3), Fraction(1, 10), DigitCantorSet(3, (0, 2))),
-        (Fraction(25, 2), Fraction(1, 5), DigitCantorSet(7, (0, 3, 6))),
-        (Fraction(1), Fraction(2, 7), DigitCantorSet(5, (0, 1, 4))),
-    )
-    for alpha, ratio, K in cases:
+    for alpha, ratio, K in _FALLBACK_CASES:
         rows = geometric_rows(alpha, ratio, K, 30)
         assert rows == _point_rows(alpha, ratio, K, 30)
     assert geometric_rows(Fraction(49, 4), Fraction(1, 7), DigitCantorSet(3, (0, 2)), 3)[2][2]
     assert not scan_powers_calls
+
+
+def _flagged(rows):
+    return tuple(index for index, _, member in rows if member)
+
+
+def _check_member_scans(alpha, ratio, K, k_max):
+    # JSON enumerate's members and bound's empirical_k, read from the flags
+    # alone, against contains point by point; bound scans to its own k_alpha.
+    # The certified tail factors alpha's denominator under MAX_RHO_STEPS, so
+    # a planted alpha whose denominator passes 64 bits has its members
+    # checked on geometric_members, the scan the report reads them from
+    members = _flagged(_point_rows(alpha, ratio, K, k_max))
+    assert tuple(geometric_members(alpha, ratio, K, k_max)) == members
+    t = ratio.denominator
+    if alpha.denominator < 2**64:
+        assert exceptional_geometric(alpha, ratio, K, k_max).members == members
+    if ratio.numerator == 1 and math.gcd(t, K.base) == 1 and alpha.denominator < 2**64:
+        bound = exclusion_bound(alpha, K, (t,))
+        flagged = _flagged(_point_rows(alpha, ratio, K, bound.k_alpha))
+        assert bound.empirical_k == (flagged[-1] + 1 if flagged else 0)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 10])
+def test_member_scans_match_the_point_rows(q):
+    for alpha, t, K, k_max, _ in _carried_cases(q):
+        _check_member_scans(alpha, Fraction(1, t), K, k_max)
+
+
+def test_member_scans_fall_back_to_the_point_rows():
+    for alpha, ratio, K in _FALLBACK_CASES:
+        _check_member_scans(alpha, ratio, K, 30)
+
+
+def _check_lattice_members(alpha, primes, K, box, point_rows):
+    # JSON enumerate's members, read from the flags alone, against contains
+    # point by point; a planted alpha past 64 bits as in _check_member_scans
+    members = _flagged(point_rows)
+    assert tuple(lattice_members(alpha, primes, K, box)) == members
+    if alpha.denominator < 2**64:
+        assert exceptional_lattice(alpha, primes, K, box).members == members
 
 
 def _lattice_point_rows(alpha, primes, K, box):
@@ -317,8 +367,9 @@ def test_lattice_rows_match_the_point_rows(q, scan_powers_calls):
             alphas = [m * c**j, Fraction(1), Fraction(1, d), Fraction(rng.randrange(2, 200), rng.randrange(1, 5))]
             before = len(scan_powers_calls)
             for alpha in alphas:
-                rows = lattice_rows(alpha, primes, K, box)
-                assert rows == _lattice_point_rows(alpha, primes, K, box)
+                point_rows = _lattice_point_rows(alpha, primes, K, box)
+                assert lattice_rows(alpha, primes, K, box) == point_rows
+                _check_lattice_members(alpha, primes, K, box, point_rows)
             assert (tuple(j if p == c else 0 for p in primes), m, True) in lattice_rows(m * c**j, primes, K, box)
             assert (len(scan_powers_calls) > before) == (q % c != 0)
             # a numerator sharing the carried modulus (unless q cancels it) keeps
@@ -327,7 +378,9 @@ def test_lattice_rows_match_the_point_rows(q, scan_powers_calls):
             dens = [d for d in range(1, 60) if d % c]
             for alpha in (Fraction(c**2 * rng.randrange(1, 9), rng.choice(dens)),
                           Fraction(c, rng.choice(dens) * q ** rng.randrange(1, 3))):
-                assert lattice_rows(alpha, primes, K, box) == _lattice_point_rows(alpha, primes, K, box)
+                point_rows = _lattice_point_rows(alpha, primes, K, box)
+                assert lattice_rows(alpha, primes, K, box) == point_rows
+                _check_lattice_members(alpha, primes, K, box, point_rows)
             assert len(scan_powers_calls) == before
             assert lattice_rows(m, primes, K, 0) == [((0,) * len(primes), m, True)]
 
@@ -337,8 +390,27 @@ def test_lattice_rows_with_no_modulus_prime_to_q(scan_powers_calls):
     # trailing-9 form; lines along the last index, all per point
     K = DigitCantorSet(10, (0, 1, 2, 5, 9))
     for alpha in (Fraction(1), Fraction(1, 4), Fraction(3, 7), Fraction(25, 2)):
-        assert lattice_rows(alpha, (2, 5), K, 9) == _lattice_point_rows(alpha, (2, 5), K, 9)
+        point_rows = _lattice_point_rows(alpha, (2, 5), K, 9)
+        assert lattice_rows(alpha, (2, 5), K, 9) == point_rows
+        _check_lattice_members(alpha, (2, 5), K, 9, point_rows)
     assert not scan_powers_calls
+
+
+def test_member_scans_build_no_values(monkeypatch, capsys):
+    # JSON enumerate and bound read the flags alone: with the step that puts
+    # values on them broken, they still answer, and only CSV reaches it
+    def broken(*args):
+        raise RuntimeError("values built")
+
+    monkeypatch.setattr(cantor, "_line_rows", broken)
+    K = DigitCantorSet(3, (0, 2))
+    _check_member_scans(Fraction(1), Fraction(1, 2), K, 20)
+    _check_lattice_members(Fraction(1), (2, 7), K, 5, _lattice_point_rows(Fraction(1), (2, 7), K, 5))
+    for scan in (["--ratio", "1/2", "--k-max", "20"], ["--primes", "2,7", "--box", "5"]):
+        argv = ["enumerate", "--alpha", "1", "--q", "3", "--A", "0,2", *scan]
+        assert cli.main(argv) == 0
+        assert cli.main(argv + ["--format", "csv"]) == 1
+        assert "values built" in capsys.readouterr().err
 
 
 def test_scan_powers_stops_at_a_leading_zero_without_0(monkeypatch):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from qadic import kernels
 from qadic.cli import main
 
 
@@ -454,6 +455,35 @@ def test_input_sized_walks_fail_fast(capsys, argv, cap):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("precondition violated:") and cap in err
+
+
+def test_csv_digit_cells_share_one_max_digits_budget(capsys, monkeypatch):
+    # 1/7, 1/14, 1/28 and 1/56 in base 10: each cell walks a 6-digit period
+    # and never meets 6 or 9, so the table walks 24 period digits in all
+    def table(alpha, k_max):
+        return run_cli(capsys, "enumerate", "--alpha", alpha, "--q", "10", "--A", "0,1,2,4,5,7,8", "--ratio", "1/2",
+                       "--k-max", str(k_max), "--format", "csv")
+
+    code, out, err = table("1/7", 3)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(kernels, "MAX_DIGITS", 24)
+    assert table("1/7", 3) == (0, out, "")
+    monkeypatch.setattr(kernels, "MAX_DIGITS", 23)
+    code, out, err = table("1/7", 3)
+    assert (code, out) == (2, "") and "MAX_DIGITS = 23" in err
+    for k in range(4):  # each row alone stays under the cap
+        assert table(f"1/{7 * 2**k}", 0)[0] == 0
+
+
+def test_csv_table_past_max_digits_in_all(capsys):
+    # in base 2**32 + 1 the rows 1/7**6, 1/(2 * 7**6), 1/7**7 and 1/(2 * 7**7)
+    # have periods of 100842 and 705894 digits, each under MAX_DIGITS: the
+    # table walked all 1.6 million and printed 17 MB
+    argv = ("enumerate", "--alpha", "1/117649", "--q", "4294967297", "--A", "0,2", "--primes", "2,7", "--box", "1",
+            "--format", "csv")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("precondition violated:") and "MAX_DIGITS = 1000000 digits in all" in err
 
 
 def test_witness_and_bound_at_large_sizes(capsys):
