@@ -310,10 +310,11 @@ def _check_member_scans(alpha, ratio, K, k_max):
     # checked on geometric_members, the scan the report reads them from
     members = _flagged(_point_rows(alpha, ratio, K, k_max))
     assert tuple(geometric_members(alpha, ratio, K, k_max)) == members
+    if alpha.denominator >= 2**64:
+        return
+    assert exceptional_geometric(alpha, ratio, K, k_max).members == members
     t = ratio.denominator
-    if alpha.denominator < 2**64:
-        assert exceptional_geometric(alpha, ratio, K, k_max).members == members
-    if ratio.numerator == 1 and math.gcd(t, K.base) == 1 and alpha.denominator < 2**64:
+    if ratio.numerator == 1 and math.gcd(t, K.base) == 1:
         bound = exclusion_bound(alpha, K, (t,))
         flagged = _flagged(_point_rows(alpha, ratio, K, bound.k_alpha))
         assert bound.empirical_k == (flagged[-1] + 1 if flagged else 0)
