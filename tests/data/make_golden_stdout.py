@@ -41,6 +41,18 @@ LATTICE_EDGE = (
     ("enumerate", "--alpha", "1/2", "--q", "7", "--A", "1,3,5", "--primes", "3,7", "--box", "12"),
     ("enumerate", "--alpha", "1/4", "--q", "3", "--A", "0,2", "--primes", "2,5", "--box", "0"),
 )
+# alpha/t**k lines whose numerator shares primes with t, replayed in both
+# formats: 9/20 / 3**2 = 1/20 and 2304/25 / 16**2 = 9/25 end in base q and
+# are members only by their trailing-(q-1) form, t = 12 is composite, and
+# two lattices have the carried modulus squared (49/2 over 2, 7) and cubed
+# (1331/9 over 3, 11) in alpha's numerator
+SHARED_EDGE = (
+    ("enumerate", "--alpha", "9/20", "--q", "10", "--A", "0,4,9", "--ratio", "1/3", "--k-max", "40"),
+    ("enumerate", "--alpha", "2304/25", "--q", "5", "--A", "1,2,3,4", "--ratio", "1/16", "--k-max", "40"),
+    ("enumerate", "--alpha", "1728/7", "--q", "5", "--A", "0,1,3", "--ratio", "1/12", "--k-max", "40"),
+    ("enumerate", "--alpha", "49/2", "--q", "3", "--A", "0,2", "--primes", "2,7", "--box", "8"),
+    ("enumerate", "--alpha", "1331/9", "--q", "4", "--A", "0,1,3", "--primes", "3,11", "--box", "8"),
+)
 # digit_set cells whose digits take more than one character, in CSV: for
 # each base, a geometric scan, a lattice scan and dp, with 0 in A and
 # without it; each A holds the repeated digit of a small fraction such as
@@ -88,6 +100,7 @@ EDGE = (
     ("enumerate", "--alpha", "1/2", "--q", "5", "--A", "1,3", "--ratio", "1/7", "--k-max", "50",
      "--format", "csv"),
     *((*argv, *fmt) for argv in LATTICE_EDGE for fmt in ((), ("--format", "csv"))),
+    *((*argv, *fmt) for argv in SHARED_EDGE for fmt in ((), ("--format", "csv"))),
     *DIGIT_EDGE,
 )
 
