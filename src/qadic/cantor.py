@@ -4,10 +4,13 @@ Membership is existential, so a point with a disallowed canonical digit can
 still belong via its trailing-(q-1) representation.  The scans of the
 scaled points alpha*ratio**k and alpha / prod(p_j**k_j) come in two steps.
 The membership walk (`_line_members`) yields one flag per point of a
-geometric line; geometric_members and lattice_members read the members
-straight from those flags, for JSON `enumerate` and `bound`.  The second
-step (`_line_rows`) puts a value on each flag, and only geometric_rows and
-lattice_rows, the rows of CSV tables and of the library, run it."""
+geometric line; for a ratio 1/t with t prime to q it carries the line
+through `kernels.scan_powers` once alpha's numerator has stopped cancelling
+against t**k, whether or not it shares primes with t.  geometric_members
+and lattice_members read the members straight from those flags, for JSON
+`enumerate` and `bound`.  The second step (`_line_rows`) puts a value on
+each flag, and only geometric_rows and lattice_rows, the rows of CSV tables
+and of the library, run it."""
 
 from __future__ import annotations
 
@@ -165,29 +168,38 @@ def _check_scale(alpha, ratio=None, k_max=0) -> tuple[Fraction, Fraction | None]
 def _line_members(start: Fraction, ratio: Fraction, K: DigitCantorSet, count: int) -> list[bool]:
     """Membership flags of start*ratio**k for k = 0..count-1, uncapped.
 
-    When the ratio is 1/t with gcd(t, q) = 1 and start = s/d has gcd(s, t) =
-    1, each point below 1 with k >= 1 is s / (d * t**k) in lowest terms, with
-    d's preperiod length and a part prime to q above 1, so no trailing-(q-1)
-    form applies: `kernels.scan_powers` tests all of them in one pass,
-    carrying the remainder after each point's leading zeros to the next k.
-    Every other point is built and goes through `contains` on its own.  No
-    value of the carried points is built."""
+    When the ratio is 1/t with gcd(t, q) = 1 and start = s/d, the point k is
+    (s/g_k) / (d * t**k / g_k) in lowest terms, with g_k = gcd(s, t**k).
+    Once s/g_k is prime to t, g_k no longer changes, and the points from
+    there on are one row s' / (D * t**i) with s' prime to t and d's
+    preperiod length.  The row is carried from k0, the first k >= 1 whose
+    point is below 1, whose numerator s/g_k is prime to t, and whose
+    denominator has a part prime to q above 1, so that no trailing-(q-1)
+    form applies: `kernels.scan_powers` tests all of those points in one
+    pass, carrying the remainder after each point's leading zeros to the
+    next k.  Every other point (those before k0, a point that ends in base
+    q, and every point of any other ratio) is built and goes through
+    `contains` on its own.  No value of the carried points is built."""
 
     def member(k):
         value = start * ratio**k
         return value <= 1 and K.contains(value)
 
     s, d, t, q = start.numerator, start.denominator, ratio.denominator, K.base
-    if ratio.numerator > 1 or math.gcd(t, q) > 1 or math.gcd(s, t) > 1:
+    if ratio.numerator > 1 or math.gcd(t, q) > 1:
         return _par.pmap(member, list(range(count)))
-    # k0, the first k >= 1 with start / t**k < 1; the points before it are above 1 from k = 1 on
-    k0, den = 1, d * t
-    while den <= s and k0 < count:
-        k0, den = k0 + 1, den * t
+    d_hat, _, v = split_coprime_part(d, q)
+    # k0: the point s / (d * t**k0) below 1, g = gcd(s, t**k0) settled, and a
+    # part prime to q in its reduced denominator, d_hat * t**k0 / g
+    k0, power = 1, t
+    while k0 < count:
+        g = math.gcd(s, power)
+        if s < d * power and math.gcd(s // g, t) == 1 and d_hat * power > g:
+            break
+        k0, power = k0 + 1, power * t
     flags = _par.pmap(member, list(range(min(k0, count))))
     if k0 < count:
-        _, _, v = split_coprime_part(d, q)
-        flags += kernels.scan_powers(s, den, t, q, K.allowed, v, count - k0)
+        flags += kernels.scan_powers(s // g, d * power // g, t, q, K.allowed, v, count - k0)
     return flags
 
 
@@ -206,9 +218,11 @@ def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[in
     """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member).
 
     Capped before any point is built (`_check_scale`).  A ratio 1/t with
-    gcd(t, q) = 1 and an alpha whose numerator is prime to t take the
-    carried walk of `kernels.scan_powers` from k = 1 on (`_line_members`);
-    `_line_rows` puts a value on each flag, for CSV tables and the library."""
+    gcd(t, q) = 1 takes the carried walk of `kernels.scan_powers`
+    (`_line_members`) from the first k >= 1 whose point is below 1, whose
+    numerator s / gcd(s, t**k) is prime to t, and whose reduced denominator
+    has a part prime to q; `_line_rows` puts a value on each flag, for CSV
+    tables and the library."""
     alpha, ratio = _check_scale(alpha, ratio, k_max)
     return _line_rows(alpha, ratio, K, k_max + 1)
 

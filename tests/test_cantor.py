@@ -231,10 +231,19 @@ def _digit_sets(q, rng):
 
 @pytest.fixture
 def scan_powers_calls(monkeypatch):
+    # each carried row must meet scan_powers' preconditions: a first point
+    # num/den below 1 in lowest terms, whose den has a part prime to q (so no
+    # trailing-(q-1) form applies) and the preperiod length it is given, and
+    # num prime to t, so that every later point num / (den * t**i) is in
+    # lowest terms as well
     calls = []
     scan_powers = kernels.scan_powers
 
     def counted(*args):
+        num, den, t, base, _, preperiod_len, _ = args
+        den_hat, _, v = split_coprime_part(den, base)
+        assert 0 < num < den and math.gcd(num, den) == math.gcd(num, t) == math.gcd(t, base) == 1, args
+        assert den_hat > 1 and preperiod_len == v, args
         calls.append(args)
         return scan_powers(*args)
 
@@ -277,15 +286,12 @@ def test_carried_rows_match_the_point_rows(q, scan_powers_calls):
     assert len(scan_powers_calls) == 6 * 2 * (q - 2)
 
 
-# t sharing a prime with q, alpha's numerator sharing one with t, and a
-# ratio with numerator above 1 take the per-point path; 49/4 plants 1/4 at k = 2
+# t sharing a prime with q and a ratio with numerator above 1 take the
+# per-point path
 _FALLBACK_CASES = (
     (Fraction(1, 4), Fraction(1, 2), DigitCantorSet(10, (0, 2, 5))),
     (Fraction(1), Fraction(1, 6), DigitCantorSet(4, (0, 1, 3))),
     (Fraction(3, 7), Fraction(1, 12), DigitCantorSet(3, (0, 2))),
-    (Fraction(49, 4), Fraction(1, 7), DigitCantorSet(3, (0, 2))),
-    (Fraction(10, 3), Fraction(1, 10), DigitCantorSet(3, (0, 2))),
-    (Fraction(25, 2), Fraction(1, 5), DigitCantorSet(7, (0, 3, 6))),
     (Fraction(1), Fraction(2, 7), DigitCantorSet(5, (0, 1, 4))),
 )
 
@@ -294,8 +300,109 @@ def test_carried_rows_fall_back_to_the_point_rows(scan_powers_calls):
     for alpha, ratio, K in _FALLBACK_CASES:
         rows = geometric_rows(alpha, ratio, K, 30)
         assert rows == _point_rows(alpha, ratio, K, 30)
-    assert geometric_rows(Fraction(49, 4), Fraction(1, 7), DigitCantorSet(3, (0, 2)), 3)[2][2]
     assert not scan_powers_calls
+
+
+# alpha's numerator sharing primes with t: (alpha, ratio, K, a planted row,
+# k0), carried from k0 on.  49/4 plants 1/4 at k = 2 and 25/2 plants 1/2.
+# 10/3 / 10 = 1/3 = 0.0(2) and 9/20 / 3**2 = 1/20 = 0.04(9) end in base q,
+# as 2304/25 / 16**2 = 9/25 = 0.13(4) does in base 5: members only by their
+# trailing-(q-1) form, so they stay on the per-point path and the carry
+# starts one k later
+_SHARED_CASES = (
+    (Fraction(49, 4), Fraction(1, 7), DigitCantorSet(3, (0, 2)), (2, Fraction(1, 4), True), 2),
+    (Fraction(10, 3), Fraction(1, 10), DigitCantorSet(3, (0, 2)), (1, Fraction(1, 3), True), 2),
+    (Fraction(25, 2), Fraction(1, 5), DigitCantorSet(7, (0, 3, 6)), (2, Fraction(1, 2), True), 2),
+    (Fraction(9, 20), Fraction(1, 3), DigitCantorSet(10, (0, 4, 9)), (2, Fraction(1, 20), True), 3),
+    (Fraction(2304, 25), Fraction(1, 16), DigitCantorSet(5, (1, 2, 3, 4)), (2, Fraction(9, 25), True), 3),
+)
+
+
+def test_shared_numerator_rows_are_carried(scan_powers_calls):
+    for alpha, ratio, K, planted, k0 in _SHARED_CASES:
+        scan_powers_calls.clear()
+        rows = geometric_rows(alpha, ratio, K, 30)
+        assert rows == _point_rows(alpha, ratio, K, 30)
+        assert rows[planted[0]] == planted
+        # one carried row, of the points k0..30
+        assert [args[-1] for args in scan_powers_calls] == [31 - k0]
+        _check_member_scans(alpha, ratio, K, 30)
+        point_rows = _lattice_point_rows(alpha, (ratio.denominator,), K, 30)
+        _check_lattice_members(alpha, (ratio.denominator,), K, 30, point_rows)
+
+
+def _shared_cases(q):
+    # ratio 1/t with gcd(t, q) = 1, t composite or a prime power, and alpha's
+    # numerator carrying each prime of t to a power 0-3, one at least to 1,
+    # for every digit-set size: (alpha, t, K, k_max, the planted row or None)
+    rng = random.Random(24 * q)
+    ts = [t for t in (6, 10, 12, 15, 21, 9) if math.gcd(t, q) == 1]
+    for digits in _digit_sets(q, rng):
+        K = DigitCantorSet(q, digits)
+        t = rng.choice(ts)
+        primes = [p for p in (2, 3, 5, 7) if t % p == 0]
+        powers = [rng.randrange(0, 4) for _ in primes]
+        powers[rng.randrange(len(primes))] = rng.randrange(1, 4)
+        shared = math.prod(p**e for p, e in zip(primes, powers))
+        units = [u for u in range(1, 40) if math.gcd(u, t) == 1]
+        # alpha > 1, and alpha < 1 with a q-part in its denominator, which
+        # may fall below 1 before its numerator stops cancelling
+        for alpha in (Fraction(rng.choice(units) * shared, rng.choice(units[:4])),
+                      Fraction(shared, rng.choice(units[:10]) * q ** rng.randrange(1, 3))):
+            yield alpha, t, K, rng.randrange(12, 30), None
+        # planted at k = i + j, after the cancellation: m, c.m and 0.0m as
+        # in _carried_cases, times t**(i + j), with j raised until alpha's
+        # numerator shares a prime with t
+        i, j = rng.randrange(1, 3), rng.randrange(1, 4)
+        m = _planted(K, t, i, rng)
+        while math.gcd((m * t ** (i + j)).numerator, t) == 1:
+            j += 1
+        c = rng.choice(K.digits)
+        for x, member in ((m, True), ((c + m) / q, True), (m / q, 0 in K.digits)):
+            yield x * t ** (i + j), t, K, i + j + 10, (i + j, x, member)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 10])
+def test_shared_numerator_rows_match_the_point_rows(q, scan_powers_calls):
+    # carried from where alpha's numerator stops cancelling, against contains
+    # point by point; every case reaches its k0 within k_max
+    cases = list(_shared_cases(q))
+    for alpha, t, K, k_max, planted in cases:
+        assert math.gcd(alpha.numerator, t) > 1
+        rows = geometric_rows(alpha, Fraction(1, t), K, k_max)
+        assert rows == _point_rows(alpha, Fraction(1, t), K, k_max)
+        if planted:
+            assert rows[planted[0]] == planted
+    assert len(scan_powers_calls) == len(cases)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 10])
+def test_shared_numerator_member_scans_match_the_point_rows(q):
+    # the member scans, and lattice lines along t, whose starts carry t's
+    # primes in their numerators, beside a modulus that does not divide t
+    for alpha, t, K, k_max, _ in _shared_cases(q):
+        _check_member_scans(alpha, Fraction(1, t), K, k_max)
+        other = min(p for p in (2, 3, 5, 7) if t % p)
+        for primes, box in (((t,), k_max), ((other, t), 5)):
+            point_rows = _lattice_point_rows(alpha, primes, K, box)
+            assert lattice_rows(alpha, primes, K, box) == point_rows
+            _check_lattice_members(alpha, primes, K, box, point_rows)
+
+
+def test_shared_numerator_rows_fuzz(scan_powers_calls):
+    # seeded cases of the numerators the carry meets: s = a * t**j *
+    # gcd(t, b)**i cancels t's primes over the first ks, d's q-part gives a
+    # preperiod, and any digit set of q in {3, 4, 5, 6, 7, 10, 12}
+    rng = random.Random(24)
+    for _ in range(2000):
+        q = rng.choice((3, 4, 5, 6, 7, 10, 12))
+        t = rng.choice([t for t in range(2, 60) if math.gcd(t, q) == 1])
+        s = rng.randrange(1, 50) * t ** rng.randrange(0, 4) * math.gcd(t, rng.randrange(2, 60)) ** rng.randrange(0, 4)
+        d = rng.randrange(1, 30) * q ** rng.randrange(0, 3)
+        K = DigitCantorSet(q, rng.sample(range(q), rng.randrange(2, q)))
+        alpha, ratio, k_max = Fraction(s, d), Fraction(1, t), rng.randrange(1, 12)
+        assert geometric_rows(alpha, ratio, K, k_max) == _point_rows(alpha, ratio, K, k_max), (alpha, t, K, k_max)
+    assert len(scan_powers_calls) > 1000
 
 
 def _flagged(rows):
@@ -373,8 +480,9 @@ def test_lattice_rows_match_the_point_rows(q, scan_powers_calls):
                 _check_lattice_members(alpha, primes, K, box, point_rows)
             assert (tuple(j if p == c else 0 for p in primes), m, True) in lattice_rows(m * c**j, primes, K, box)
             assert (len(scan_powers_calls) > before) == (q % c != 0)
-            # a numerator sharing the carried modulus (unless q cancels it) keeps
-            # every line on the per-point path; box 0 is the point alpha alone
+            # a numerator sharing the carried modulus: its lines are carried
+            # once the numerator stops cancelling, unless no modulus is prime
+            # to q; box 0 is the point alpha alone
             before = len(scan_powers_calls)
             dens = [d for d in range(1, 60) if d % c]
             for alpha in (Fraction(c**2 * rng.randrange(1, 9), rng.choice(dens)),
@@ -382,7 +490,7 @@ def test_lattice_rows_match_the_point_rows(q, scan_powers_calls):
                 point_rows = _lattice_point_rows(alpha, primes, K, box)
                 assert lattice_rows(alpha, primes, K, box) == point_rows
                 _check_lattice_members(alpha, primes, K, box, point_rows)
-            assert len(scan_powers_calls) == before
+            assert (len(scan_powers_calls) > before) == (q % c != 0)
             assert lattice_rows(m, primes, K, 0) == [((0,) * len(primes), m, True)]
 
 
