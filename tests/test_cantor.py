@@ -456,7 +456,7 @@ def _lattice_point_rows(alpha, primes, K, box):
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 10])
 def test_lattice_rows_match_the_point_rows(q, scan_powers_calls):
     # lines along the last modulus prime to q, carried by kernels.scan_powers
-    # where the line's start has a numerator prime to it, against contains
+    # once the line's start numerator stops cancelling, against contains
     # point by point; the modulus sharing a prime with q first, in the
     # middle and last, and q's own prime alone
     rng = random.Random(q)
