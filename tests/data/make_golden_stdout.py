@@ -53,6 +53,26 @@ SHARED_EDGE = (
     ("enumerate", "--alpha", "49/2", "--q", "3", "--A", "0,2", "--primes", "2,7", "--box", "8"),
     ("enumerate", "--alpha", "1331/9", "--q", "4", "--A", "0,1,3", "--primes", "3,11", "--box", "8"),
 )
+# 1/t lines whose t shares a prime with q, replayed in both formats: t | q**inf
+# with alpha not ending in base q (1/7 over 1/2 in base 10), alpha ending in
+# base q (1/2 over 1/2, members by their trailing-9 form), t with primes both
+# in and out of q (1/6 in base 10, 1/12 in base 3, and 12/7, whose numerator
+# shares 2 and 3 with t), --primes 2,5 lattices in base 10, q = 4 with t = 2,
+# and 0 not an allowed digit
+RATIO_EDGE = (
+    ("enumerate", "--alpha", "1/7", "--q", "10", "--A", "0,1,2,4,5,7,8", "--ratio", "1/2", "--k-max", "40"),
+    ("enumerate", "--alpha", "1/2", "--q", "10", "--A", "0,2,4,9", "--ratio", "1/2", "--k-max", "40"),
+    ("enumerate", "--alpha", "1/1", "--q", "10", "--A", "0,1,2,4,5,7,8", "--ratio", "1/6", "--k-max", "40"),
+    ("enumerate", "--alpha", "12/7", "--q", "10", "--A", "0,1,2,4,5,7,8", "--ratio", "1/6", "--k-max", "40"),
+    ("enumerate", "--alpha", "3/7", "--q", "3", "--A", "0,2", "--ratio", "1/12", "--k-max", "40"),
+    ("enumerate", "--alpha", "3/7", "--q", "10", "--A", "0,1,2,4,5,7,8", "--primes", "2,5", "--box", "10"),
+    ("enumerate", "--alpha", "2/9", "--q", "10", "--A", "0,2,5,9", "--primes", "2,5", "--box", "10"),
+    ("enumerate", "--alpha", "1/9", "--q", "10", "--A", "1,2,5", "--primes", "2,5", "--box", "6"),
+    ("enumerate", "--alpha", "1/3", "--q", "4", "--A", "0,1,2", "--ratio", "1/2", "--k-max", "60"),
+    ("enumerate", "--alpha", "5/3", "--q", "4", "--A", "0,1,3", "--ratio", "1/2", "--k-max", "60"),
+    ("enumerate", "--alpha", "1/3", "--q", "4", "--A", "1,2", "--ratio", "1/2", "--k-max", "60"),
+    ("enumerate", "--alpha", "1/7", "--q", "10", "--A", "1,2,4,5,7,8", "--ratio", "1/2", "--k-max", "40"),
+)
 # digit_set cells whose digits take more than one character, in CSV: for
 # each base, a geometric scan, a lattice scan and dp, with 0 in A and
 # without it; each A holds the repeated digit of a small fraction such as
@@ -101,6 +121,7 @@ EDGE = (
      "--format", "csv"),
     *((*argv, *fmt) for argv in LATTICE_EDGE for fmt in ((), ("--format", "csv"))),
     *((*argv, *fmt) for argv in SHARED_EDGE for fmt in ((), ("--format", "csv"))),
+    *((*argv, *fmt) for argv in RATIO_EDGE for fmt in ((), ("--format", "csv"))),
     *DIGIT_EDGE,
 )
 
