@@ -4,13 +4,13 @@ Membership is existential, so a point with a disallowed canonical digit can
 still belong via its trailing-(q-1) representation.  The scans of the
 scaled points alpha*ratio**k and alpha / prod(p_j**k_j) come in two steps.
 The membership walk (`_line_members`) yields one flag per point of a
-geometric line; for a ratio 1/t with t prime to q it carries the line
-through `kernels.scan_powers` once alpha's numerator has stopped cancelling
-against t**k, whether or not it shares primes with t.  geometric_members
-and lattice_members read the members straight from those flags, for JSON
-`enumerate` and `bound`.  The second step (`_line_rows`) puts a value on
-each flag, and only geometric_rows and lattice_rows, the rows of CSV tables
-and of the library, run it."""
+geometric line; for a ratio 1/t it carries the line through
+`kernels.scan_powers` once alpha's numerator has stopped cancelling against
+t**k, whatever t shares with q, unless every point ends in base q.
+geometric_members and lattice_members read the members straight from those
+flags, for JSON `enumerate` and `bound`.  The second step (`_line_rows`)
+puts a value on each flag, and only geometric_rows and lattice_rows, the
+rows of CSV tables and of the library, run it."""
 
 from __future__ import annotations
 
@@ -168,38 +168,42 @@ def _check_scale(alpha, ratio=None, k_max=0) -> tuple[Fraction, Fraction | None]
 def _line_members(start: Fraction, ratio: Fraction, K: DigitCantorSet, count: int) -> list[bool]:
     """Membership flags of start*ratio**k for k = 0..count-1, uncapped.
 
-    When the ratio is 1/t with gcd(t, q) = 1 and start = s/d, the point k is
-    (s/g_k) / (d * t**k / g_k) in lowest terms, with g_k = gcd(s, t**k).
-    Once s/g_k is prime to t, g_k no longer changes, and the points from
-    there on are one row s' / (D * t**i) with s' prime to t and d's
-    preperiod length.  The row is carried from k0, the first k >= 1 whose
-    point is below 1, whose numerator s/g_k is prime to t, and whose
-    denominator has a part prime to q above 1, so that no trailing-(q-1)
-    form applies: `kernels.scan_powers` tests all of those points in one
-    pass, carrying the remainder after each point's leading zeros to the
-    next k.  Every other point (those before k0, a point that ends in base
-    q, and every point of any other ratio) is built and goes through
-    `contains` on its own.  No value of the carried points is built."""
+    When the ratio is 1/t and start = s/d, the point k is (s/g_k) /
+    (d * t**k / g_k) in lowest terms, with g_k = gcd(s, t**k).  Once s/g_k
+    is prime to t, g_k no longer changes, and the points from there on are
+    one row s' / (D * t**i) with s' prime to t.  The row is carried from k0,
+    the first k >= 0 whose point is below 1, whose numerator s/g_k is prime
+    to t, and whose reduced denominator has a part prime to q (d_hat *
+    t_hat**k > g_hat, the hats marking the parts prime to q), so that no
+    trailing-(q-1) form applies, whatever t shares with q:
+    `kernels.scan_powers` tests all of those points in one pass, given the
+    exact preperiod length of the point k0, carrying the remainder after
+    each point's leading zeros to the next k.  Every other point (those
+    before k0, every point of a row that ends in base q, where d and t both
+    divide a power of q, and every point of a ratio whose numerator is above
+    1) is built and goes through `contains` on its own.  No value of the
+    carried points is built."""
 
     def member(k):
         value = start * ratio**k
         return value <= 1 and K.contains(value)
 
     s, d, t, q = start.numerator, start.denominator, ratio.denominator, K.base
-    if ratio.numerator > 1 or math.gcd(t, q) > 1:
+    d_hat, t_hat = split_coprime_part(d, q)[0], split_coprime_part(t, q)[0]
+    if ratio.numerator > 1 or d_hat == t_hat == 1:
         return _par.pmap(member, list(range(count)))
-    d_hat, _, v = split_coprime_part(d, q)
     # k0: the point s / (d * t**k0) below 1, g = gcd(s, t**k0) settled, and a
-    # part prime to q in its reduced denominator, d_hat * t**k0 / g
-    k0, power = 1, t
+    # part prime to q in its reduced denominator, d_hat * t_hat**k0 / g_hat
+    k0, power, power_hat = 0, 1, 1
     while k0 < count:
         g = math.gcd(s, power)
-        if s < d * power and math.gcd(s // g, t) == 1 and d_hat * power > g:
+        if s < d * power and math.gcd(s // g, t) == 1 and d_hat * power_hat > math.gcd(s, power_hat):
             break
-        k0, power = k0 + 1, power * t
+        k0, power, power_hat = k0 + 1, power * t, power_hat * t_hat
     flags = _par.pmap(member, list(range(min(k0, count))))
     if k0 < count:
-        flags += kernels.scan_powers(s // g, d * power // g, t, q, K.allowed, v, count - k0)
+        den = d * power // g
+        flags += kernels.scan_powers(s // g, den, t, q, K.allowed, split_coprime_part(den, q)[2], count - k0)
     return flags
 
 
@@ -217,9 +221,9 @@ def _line_rows(start: Fraction, ratio: Fraction, K: DigitCantorSet, count: int) 
 def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[int, Fraction, bool]]:
     """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member).
 
-    Capped before any point is built (`_check_scale`).  A ratio 1/t with
-    gcd(t, q) = 1 takes the carried walk of `kernels.scan_powers`
-    (`_line_members`) from the first k >= 1 whose point is below 1, whose
+    Capped before any point is built (`_check_scale`).  A ratio 1/t, whatever
+    t shares with q, takes the carried walk of `kernels.scan_powers`
+    (`_line_members`) from the first k >= 0 whose point is below 1, whose
     numerator s / gcd(s, t**k) is prime to t, and whose reduced denominator
     has a part prime to q; `_line_rows` puts a value on each flag, for CSV
     tables and the library."""
@@ -241,7 +245,9 @@ def _lattice_lines(alpha, primes, K: DigitCantorSet, box: int):
     More than MAX_POINTS points, or more than MAX_SCAN_BITS bits summed over
     the products prod(p_j**k_j), raise PreconditionError before the first
     line.  Lines run along the carried index j, the last whose modulus is
-    prime to q (else the last index): for each tuple of the other indices,
+    prime to q, so that no line ends in base q (else the last index, whose
+    lines `_line_members` carries unless they end in base q too): for each
+    tuple of the other indices,
     the line start * p_j**-k_j, k_j = 0..box, with start = alpha /
     prod(p_i**k_i), i != j.  Yields (start, 1/p_j, slots, before, after) per
     line: slots[k_j] is the lexicographic slot of the line's point k_j, and

@@ -16,6 +16,7 @@ from qadic.certificates import ExclusionBound, exclusion_bound
 from qadic.expansion import ExpansionQ, digit_set, expand
 from qadic.rational import (
     MAX_RESIDUES,
+    PreconditionError,
     Record,
     format_rational,
     require,
@@ -62,18 +63,31 @@ class ExceptionalReport(Record):
         }
 
 
+def _certified_tail(alpha, K: DigitCantorSet, primes) -> ExclusionBound | None:
+    """The exclusion bound of alpha / prod(p_j**k_j), or None when it cannot
+    be computed within the caps (say, alpha's denominator is too hard to
+    factor under MAX_RHO_STEPS): the scan's members stand without it."""
+    try:
+        return exclusion_bound(alpha, K, primes, scan_empirical=False)
+    except PreconditionError:
+        return None
+
+
 def exceptional_geometric(alpha, ratio, K: DigitCantorSet, k_max: int) -> ExceptionalReport:
     """All k <= k_max with alpha*ratio**k in K, plus a certified tail when the
     ratio is 1/t with gcd(t, base) = 1.
 
     When every prime of the ratio's denominator divides the base the finite-set
-    hypothesis fails (the set may be infinite) and the report says so."""
+    hypothesis fails (the set may be infinite) and the report says so.  A tail
+    whose exclusion bound raises PreconditionError (a cap, such as factoring
+    alpha's denominator under MAX_RHO_STEPS) is reported as None, with the
+    members the scan found; `bound` still exits 2 on it."""
     members = tuple(geometric_members(alpha, ratio, K, k_max))
     t = ratio.denominator
     t_hat, _, _ = split_coprime_part(t, K.base)
     tail = None
     if ratio.numerator == 1 and math.gcd(t, K.base) == 1:
-        tail = exclusion_bound(alpha, K, (t,), scan_empirical=False)
+        tail = _certified_tail(alpha, K, (t,))
     parameters = {
         "alpha": format_rational(alpha),
         "ratio": format_rational(ratio),
@@ -86,13 +100,16 @@ def exceptional_geometric(alpha, ratio, K: DigitCantorSet, k_max: int) -> Except
 
 def exceptional_lattice(alpha, primes, K: DigitCantorSet, box: int) -> ExceptionalReport:
     """All tuples in [0, box]^l whose scaled value lies in K, with a certified
-    tail covering [k_alpha, inf)^l when the moduli are coprime to the base."""
+    tail covering [k_alpha, inf)^l when the moduli are coprime to the base.
+
+    As in exceptional_geometric, a tail whose exclusion bound raises
+    PreconditionError is reported as None, with the members."""
     members = tuple(lattice_members(alpha, primes, K, box))
     primes = tuple(primes)
     guaranteed = all(split_coprime_part(p, K.base)[0] > 1 for p in primes)
     tail = None
     if math.gcd(math.prod(primes), K.base) == 1:
-        tail = exclusion_bound(alpha, K, primes, scan_empirical=False)
+        tail = _certified_tail(alpha, K, primes)
     parameters = {
         "alpha": format_rational(alpha),
         "primes": list(primes),

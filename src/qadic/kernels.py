@@ -10,10 +10,12 @@ each digit against the allowed set, and digit_mask returns the set it met.
 scan_allowed and digit_mask first skip the leading zero digits in a few
 bigint steps (skip_zeros), so a tiny value such as p**-n costs nothing per
 leading zero.  scan_powers tests a whole row num / (den * t**i), the points
-alpha * t**-k of a geometric scan or of one line of a lattice: it carries
-the remainder after one point's leading zeros to the next point, a few
-factors of base further on, and runs scan_allowed's walk from there; when 0
-is not an allowed digit it stops at the first point with a leading zero.
+alpha * t**-k of a geometric scan or of one line of a lattice, whatever t
+shares with base: it carries the remainder after one point's leading zeros
+to the next point, a few factors of base further on, steps each point's
+exact preperiod length from the one before, and runs scan_allowed's walk
+from there; when 0 is not an allowed digit it stops at the first point with
+a leading zero.
 digit_mask may draw its period digits from a budget that several walks
 share (period_steps), as the digit cells of one CSV table do.
 Integers only: no float enters any bound.
@@ -21,9 +23,10 @@ Integers only: no float enters any bound.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from qadic.rational import MAX_DIGITS, PreconditionError
+from qadic.rational import MAX_DIGITS, PreconditionError, split_coprime_part
 
 
 def backend() -> str:
@@ -115,14 +118,14 @@ def scan_allowed(num, den, base, allowed, preperiod_len):
     outside allowed.  num/den must be in lowest terms and preperiod_len must
     be at least the true preperiod length, or the walk never meets its start
     again and raises PreconditionError after MAX_DIGITS period digits, as a
-    longer period does.  When 0 is allowed, the leading zeros are skipped in
-    one skip_zeros call: if there are z <= preperiod_len of them the walk
-    goes on with the remaining preperiod_len - z digits, and otherwise the
-    remainder after them already lies on the period cycle, so one period
-    from it is walked.
+    longer period does.  When 0 is allowed and num * base < den (there is a
+    leading zero), the leading zeros are skipped in one skip_zeros call: if
+    there are z <= preperiod_len of them the walk goes on with the remaining
+    preperiod_len - z digits, and otherwise the remainder after them already
+    lies on the period cycle, so one period from it is walked.
     """
     r = num
-    if num and 0 in allowed:
+    if num and 0 in allowed and num * base < den:
         z, r = skip_zeros(num, den, base)
         preperiod_len = max(preperiod_len - z, 0)
     for _ in range(preperiod_len):
@@ -145,23 +148,34 @@ def scan_powers(num, den, t, base, allowed, preperiod_len, count):
     """[scan_allowed(num, den * t**i, ...) for i in range(count)], in one pass.
 
     num/den must be in lowest terms with 0 < num < den and preperiod length
-    preperiod_len, and gcd(num, t) = gcd(t, base) = 1, so that every
-    num / (den * t**i) is in lowest terms with that same preperiod length.
-    The remainder after a point's z leading zeros, r = num * base**z, is
-    below den * t**i; skip_zeros carries it on to the next point's, about
+    preperiod_len, and gcd(num, t) = 1, so that every num / (den * t**i) is
+    in lowest terms.  t may share primes with base: with T the part of t made
+    of base's primes and c = base**v / (the part of the point's denominator
+    made of them), the next point's preperiod length v grows by the least
+    j >= 0 with T | c * base**j, and c becomes c * base**j / T; when T = 1, v
+    stays.  The remainder after a point's z leading zeros, r = num * base**z,
+    is below den * t**i; skip_zeros carries it on to the next point's, about
     log_base(t) digits further, so no point skips its zeros from num.  From
-    r, scan_allowed walks the max(preperiod_len - z, 0) preperiod digits
-    left and one period, with early exit.  When 0 is not allowed, a point
-    with a leading zero is no member, and neither is any later, smaller
-    point: they are listed False without being carried.
+    r, scan_allowed walks the max(v - z, 0) preperiod digits left (the exact
+    preperiod length of r / (den * t**i)) and one period, with early exit.
+    When 0 is not allowed, a point with a leading zero is no member, and
+    neither is any later, smaller point: they are listed False without being
+    carried.
     """
     members = []
+    T = split_coprime_part(t, base)[1]
+    c = base**preperiod_len // math.gcd(den, base**preperiod_len) if T > 1 else 1
     z, r = skip_zeros(num, den, base)
     for i in range(count):
         if z and 0 not in allowed:
             return members + [False] * (count - i)
         members.append(scan_allowed(r, den, base, allowed, max(preperiod_len - z, 0)))
         den *= t
+        if T > 1:
+            while c % T:
+                c *= base
+                preperiod_len += 1
+            c //= T
         step, r = skip_zeros(r, den, base)
         z += step
     return members

@@ -233,16 +233,16 @@ def _digit_sets(q, rng):
 def scan_powers_calls(monkeypatch):
     # each carried row must meet scan_powers' preconditions: a first point
     # num/den below 1 in lowest terms, whose den has a part prime to q (so no
-    # trailing-(q-1) form applies) and the preperiod length it is given, and
-    # num prime to t, so that every later point num / (den * t**i) is in
-    # lowest terms as well
+    # trailing-(q-1) form applies) and the exact preperiod length it is given,
+    # and num prime to t, so that every later point num / (den * t**i) is in
+    # lowest terms as well; t may share primes with q
     calls = []
     scan_powers = kernels.scan_powers
 
     def counted(*args):
         num, den, t, base, _, preperiod_len, _ = args
         den_hat, _, v = split_coprime_part(den, base)
-        assert 0 < num < den and math.gcd(num, den) == math.gcd(num, t) == math.gcd(t, base) == 1, args
+        assert 0 < num < den and math.gcd(num, den) == math.gcd(num, t) == 1, args
         assert den_hat > 1 and preperiod_len == v, args
         calls.append(args)
         return scan_powers(*args)
@@ -286,12 +286,10 @@ def test_carried_rows_match_the_point_rows(q, scan_powers_calls):
     assert len(scan_powers_calls) == 6 * 2 * (q - 2)
 
 
-# t sharing a prime with q and a ratio with numerator above 1 take the
-# per-point path
+# a row that ends in base q (alpha's denominator and t both divide a power
+# of q) and a ratio with numerator above 1 take the per-point path
 _FALLBACK_CASES = (
     (Fraction(1, 4), Fraction(1, 2), DigitCantorSet(10, (0, 2, 5))),
-    (Fraction(1), Fraction(1, 6), DigitCantorSet(4, (0, 1, 3))),
-    (Fraction(3, 7), Fraction(1, 12), DigitCantorSet(3, (0, 2))),
     (Fraction(1), Fraction(2, 7), DigitCantorSet(5, (0, 1, 4))),
 )
 
@@ -301,6 +299,27 @@ def test_carried_rows_fall_back_to_the_point_rows(scan_powers_calls):
         rows = geometric_rows(alpha, ratio, K, 30)
         assert rows == _point_rows(alpha, ratio, K, 30)
     assert not scan_powers_calls
+
+
+# t sharing a prime with q: (alpha, ratio, K, a planted row, k0), carried
+# from k0 on.  1/6 and 3/7 / 12 = 1/28 have denominators with a part prime
+# to q, and 1/7 is carried from k = 0 although t = 2 divides a power of q
+_SHARED_RATIO_ROWS = (
+    (Fraction(1), Fraction(1, 6), DigitCantorSet(4, (0, 1, 3)), (0, 1, True), 1),
+    (Fraction(3, 7), Fraction(1, 12), DigitCantorSet(3, (0, 2)), (1, Fraction(1, 28), True), 1),
+    (Fraction(1, 7), Fraction(1, 2), DigitCantorSet(10, (0, 1, 2, 4, 5, 7, 8)), (1, Fraction(1, 14), True), 0),
+)
+
+
+def test_shared_ratio_rows_are_carried(scan_powers_calls):
+    for alpha, ratio, K, planted, k0 in _SHARED_RATIO_ROWS:
+        scan_powers_calls.clear()
+        rows = geometric_rows(alpha, ratio, K, 30)
+        assert rows == _point_rows(alpha, ratio, K, 30)
+        assert rows[planted[0]] == planted
+        # one carried row, of the points k0..30
+        assert [args[-1] for args in scan_powers_calls] == [31 - k0]
+        _check_member_scans(alpha, ratio, K, 30)
 
 
 # alpha's numerator sharing primes with t: (alpha, ratio, K, a planted row,
@@ -405,6 +424,92 @@ def test_shared_numerator_rows_fuzz(scan_powers_calls):
     assert len(scan_powers_calls) > 1000
 
 
+def _shared_planted(K, ts, rng):
+    # m = 0.WWW... in base q, a member with a denominator prime to q above 1,
+    # drawn with a t of ts until m, c.m and 0.0m all have numerators prime to
+    # t: each is then the settled, carried point wherever a line puts it (a
+    # K whose digits are all even takes an odd t).  A K whose digits all
+    # share a prime with every t, as K(9, {3, 6}), keeps the last draw, met
+    # on the per-point part of its line.  t and the rows (x, member) of the
+    # three, as in _carried_cases
+    q, drawn = K.base, None
+    for t in rng.sample(ts, len(ts)):
+        for _ in range(50):
+            n = rng.randrange(1, 7)
+            m = Fraction(sum(rng.choice(K.digits) * q**i for i in range(n)), q**n - 1)
+            c = rng.choice(K.digits)
+            if 0 < m < 1:
+                drawn = t, ((m, True), ((c + m) / q, True), (m / q, 0 in K.digits))
+                if all(math.gcd(x.numerator, t) == 1 for x, _ in drawn[1]):
+                    return drawn
+    return drawn
+
+
+def _shared_ratio_cases(q):
+    # ratio 1/t with t sharing a prime with q, dividing a power of q or not,
+    # for every digit-set size: (alpha, t, K, k_max, the planted row or
+    # None).  alpha > 1, alpha = 1 (a row that ends in base q when t divides
+    # a power of q), alpha < 1 with a q-part in its denominator, and a
+    # numerator carrying t's primes
+    rng = random.Random(25 * q)
+    ts = [t for t in range(2, 40) if math.gcd(t, q) > 1]
+    for digits in _digit_sets(q, rng):
+        K = DigitCantorSet(q, digits)
+        t = rng.choice(ts)
+        units = [u for u in range(1, 40) if math.gcd(u, t) == 1]
+        d = rng.choice(units) * q ** rng.randrange(0, 3)
+        for alpha in (Fraction(rng.randrange(t, 8 * t * t), rng.randrange(1, 5)), Fraction(1),
+                      Fraction(rng.choice(units), d), Fraction(t ** rng.randrange(1, 4) * rng.choice(units), d)):
+            yield alpha, t, K, rng.randrange(12, 30), None
+        # planted at k = j >= 0: alpha = x * t**j
+        j = rng.randrange(0, 3)
+        t, rows = _shared_planted(K, ts, rng)
+        for x, member in rows:
+            yield x * t**j, t, K, j + 10, (j, x, member)
+
+
+@pytest.mark.parametrize("q", [4, 6, 9, 10, 12])
+def test_shared_ratio_rows_match_the_point_rows(q, scan_powers_calls):
+    # carried once the numerator has stopped cancelling, against contains
+    # point by point; a row that ends in base q stays per point
+    for alpha, t, K, k_max, planted in _shared_ratio_cases(q):
+        scan_powers_calls.clear()
+        rows = geometric_rows(alpha, Fraction(1, t), K, k_max)
+        assert rows == _point_rows(alpha, Fraction(1, t), K, k_max)
+        assert len(scan_powers_calls) == (0 if _ends_in_base_q(alpha, t, q) else 1), (alpha, t, K)
+        if planted:
+            assert rows[planted[0]] == planted
+
+
+@pytest.mark.parametrize("q", [4, 6, 9, 10, 12])
+def test_shared_ratio_member_scans_match_the_point_rows(q):
+    # the member scans, and lattice lines along t, alone and beside a
+    # modulus that shares a prime with q (the line is along the last one)
+    other = {4: 2, 6: 3, 9: 3, 10: 5, 12: 2}[q]
+    for alpha, t, K, k_max, _ in _shared_ratio_cases(q):
+        _check_member_scans(alpha, Fraction(1, t), K, k_max)
+        for primes, box in (((t,), k_max), ((other, t) if other != t else (t,), 5)):
+            point_rows = _lattice_point_rows(alpha, primes, K, box)
+            assert lattice_rows(alpha, primes, K, box) == point_rows
+            _check_lattice_members(alpha, primes, K, box, point_rows)
+
+
+def test_shared_ratio_rows_fuzz(scan_powers_calls):
+    # seeded rows of a t sharing a prime with q: s = a * t**j * gcd(t, b)**i
+    # cancels t's primes over the first ks, d's q-part gives a preperiod, and
+    # any digit set of q in {4, 6, 8, 9, 10, 12, 18}
+    rng = random.Random(25)
+    for _ in range(2000):
+        q = rng.choice((4, 6, 8, 9, 10, 12, 18))
+        t = rng.choice([t for t in range(2, 60) if math.gcd(t, q) > 1])
+        s = rng.randrange(1, 50) * t ** rng.randrange(0, 4) * math.gcd(t, rng.randrange(2, 60)) ** rng.randrange(0, 4)
+        d = rng.randrange(1, 30) * q ** rng.randrange(0, 3)
+        K = DigitCantorSet(q, rng.sample(range(q), rng.randrange(2, q)))
+        alpha, ratio, k_max = Fraction(s, d), Fraction(1, t), rng.randrange(1, 12)
+        assert geometric_rows(alpha, ratio, K, k_max) == _point_rows(alpha, ratio, K, k_max), (alpha, t, K, k_max)
+    assert len(scan_powers_calls) > 1000
+
+
 def _flagged(rows):
     return tuple(index for index, _, member in rows if member)
 
@@ -479,30 +584,39 @@ def test_lattice_rows_match_the_point_rows(q, scan_powers_calls):
                 assert lattice_rows(alpha, primes, K, box) == point_rows
                 _check_lattice_members(alpha, primes, K, box, point_rows)
             assert (tuple(j if p == c else 0 for p in primes), m, True) in lattice_rows(m * c**j, primes, K, box)
-            assert (len(scan_powers_calls) > before) == (q % c != 0)
+            assert (len(scan_powers_calls) > before) == any(not _ends_in_base_q(alpha, c, q) for alpha in alphas)
             # a numerator sharing the carried modulus: its lines are carried
             # once the numerator stops cancelling, unless no modulus is prime
             # to q; box 0 is the point alpha alone
             before = len(scan_powers_calls)
             dens = [d for d in range(1, 60) if d % c]
-            for alpha in (Fraction(c**2 * rng.randrange(1, 9), rng.choice(dens)),
-                          Fraction(c, rng.choice(dens) * q ** rng.randrange(1, 3))):
+            alphas = (Fraction(c**2 * rng.randrange(1, 9), rng.choice(dens)),
+                      Fraction(c, rng.choice(dens) * q ** rng.randrange(1, 3)))
+            for alpha in alphas:
                 point_rows = _lattice_point_rows(alpha, primes, K, box)
                 assert lattice_rows(alpha, primes, K, box) == point_rows
                 _check_lattice_members(alpha, primes, K, box, point_rows)
-            assert (len(scan_powers_calls) > before) == (q % c != 0)
+            assert (len(scan_powers_calls) > before) == any(not _ends_in_base_q(alpha, c, q) for alpha in alphas)
             assert lattice_rows(m, primes, K, 0) == [((0,) * len(primes), m, True)]
 
 
+def _ends_in_base_q(alpha, t, q):
+    # alpha / t**k terminates in base q for every k: no point has a part
+    # prime to q in its denominator
+    return split_coprime_part(alpha.denominator * t, q)[0] == 1
+
+
 def test_lattice_rows_with_no_modulus_prime_to_q(scan_powers_calls):
-    # q = 10 and moduli 2, 5: terminating points, some members only by their
-    # trailing-9 form; lines along the last index, all per point
+    # q = 10 and moduli 2, 5: lines along the last index.  Terminating
+    # points, some members only by their trailing-9 form, stay per point;
+    # 3/7 and 2/9 have a part prime to q, and each of their 10 lines is carried
     K = DigitCantorSet(10, (0, 1, 2, 5, 9))
-    for alpha in (Fraction(1), Fraction(1, 4), Fraction(3, 7), Fraction(25, 2)):
+    for alpha in (Fraction(1), Fraction(1, 4), Fraction(3, 7), Fraction(25, 2), Fraction(2, 9)):
+        scan_powers_calls.clear()
         point_rows = _lattice_point_rows(alpha, (2, 5), K, 9)
         assert lattice_rows(alpha, (2, 5), K, 9) == point_rows
+        assert len(scan_powers_calls) == (0 if _ends_in_base_q(alpha, 5, 10) else 10)
         _check_lattice_members(alpha, (2, 5), K, 9, point_rows)
-    assert not scan_powers_calls
 
 
 def test_member_scans_build_no_values(monkeypatch, capsys):

@@ -254,6 +254,28 @@ def test_enumerate_json_document(capsys):
     assert doc["parameters"]["ratio"] == "1/2"
 
 
+def test_enumerate_members_survive_an_uncomputable_tail(capsys):
+    # the certified tail factors alpha's denominator under MAX_RHO_STEPS.
+    # 1/(p1 * p2) has a 220-bit semiprime denominator, and 98 / (3**151 - 1)
+    # a 206-bit cofactor; the latter meets 2 / (3**151 - 1) = 0.(0...02) at
+    # k = 2.  JSON reports the members of the CSV rows with certified_tail
+    # null, and bound still exits 2 on it
+    p1, p2 = 649037107316853453566312041164889, 1298074214633706907132624082372929
+    for alpha, scan, members, indices in ((f"1/{p1 * p2}", ("--ratio", "1/7", "--k-max", "12"), [], []),
+                                          (f"98/{3**151 - 1}", ("--ratio", "1/7", "--k-max", "12"), [2], ["2"]),
+                                          (f"98/{3**151 - 1}", ("--primes", "7", "--box", "12"), [[2]], ["2"])):
+        argv = ("enumerate", "--alpha", alpha, "--q", "3", "--A", "0,2", *scan)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["certified_tail"] is None and doc["members"] == members
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert [row["index"] for row in csv.DictReader(io.StringIO(out)) if row["member"] == "true"] == indices
+    code, out, err = run_cli(capsys, "bound", "--alpha", f"98/{3**151 - 1}", "--q", "3", "--A", "0,2", "--primes", "7")
+    assert code == 2 and out == "" and "MAX_RHO_STEPS" in err
+
+
 def test_enumerate_csv_frozen(capsys):
     code, out, _ = run_cli(
         capsys, "enumerate", "--alpha", "1/1", "--q", "3", "--A", "0,1",

@@ -200,3 +200,56 @@ def test_period_cap_counts_a_wide_digit_once_per_64_bits(monkeypatch):
             call(1, 7, base, 0)
     with pytest.raises(PreconditionError, match="MAX_DIGITS = 11"):
         kernels.scan_allowed(1, 7, base, frozenset(per), 0)
+
+
+def _shared_rows(seed):
+    # rows num / (den * t**i) with t sharing a prime with q, num prime to t,
+    # and den with a q-part (a preperiod) and a part prime to q or not:
+    # (num, den, t, q, allowed), 0 in A and not, for every pair of q and t
+    rng = random.Random(seed)
+    for q in (4, 8, 9, 10, 12, 18):
+        for t in (2, 3, 4, 6, 12, 18):
+            if math.gcd(t, q) == 1:
+                continue
+            for zero in (True, False):
+                for _ in range(6):
+                    den = rng.randrange(1, 60) * rng.choice([1, 2, 3, q, q * q])
+                    num = rng.randrange(1, den + 1)
+                    g = math.gcd(num, den)
+                    num, den = num // g, den // g
+                    if num >= den or math.gcd(num, t) > 1:
+                        continue
+                    digits = rng.sample(range(1, q), rng.randrange(1, q - 1))
+                    yield num, den, t, q, frozenset(digits + [0] * zero)
+
+
+def test_scan_powers_matches_scan_allowed_when_t_shares_a_prime_with_q():
+    cases = 0
+    for num, den, t, q, allowed in _shared_rows(25):
+        v = split_coprime_part(den, q)[2]
+        assert kernels.scan_powers(num, den, t, q, allowed, v, 25) == [
+            kernels.scan_allowed(num, den * t**i, q, allowed, split_coprime_part(den * t**i, q)[2])
+            for i in range(25)], (num, den, t, q, allowed)
+        cases += 1
+    assert cases > 200
+
+
+def test_scan_powers_walks_each_point_from_its_exact_preperiod(monkeypatch):
+    # every walk of the carried row starts at r / (den * t**i), the remainder
+    # after the point's leading zeros, with exactly that value's preperiod
+    # length, never a bound above it
+    walks = []
+    scan_allowed = kernels.scan_allowed
+
+    def recorded(num, den, base, allowed, preperiod_len):
+        walks.append((num, den, base, preperiod_len))
+        return scan_allowed(num, den, base, allowed, preperiod_len)
+
+    monkeypatch.setattr(kernels, "scan_allowed", recorded)
+    for num, den, t, q, allowed in _shared_rows(2501):
+        walks.clear()
+        kernels.scan_powers(num, den, t, q, allowed | {0}, split_coprime_part(den, q)[2], 40)
+        assert len(walks) == 40
+        for i, (r, den_i, base, preperiod_len) in enumerate(walks):
+            assert den_i == den * t**i and r * base >= den_i > r
+            assert preperiod_len == split_coprime_part(Fraction(r, den_i).denominator, base)[2], (num, den, t, q, i)
