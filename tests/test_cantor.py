@@ -301,11 +301,11 @@ def test_carried_rows_fall_back_to_the_point_rows(scan_powers_calls):
     assert not scan_powers_calls
 
 
-# t sharing a prime with q: (alpha, ratio, K, a planted row, k0), carried
-# from k0 on.  1/6 and 3/7 / 12 = 1/28 have denominators with a part prime
-# to q, and 1/7 is carried from k = 0 although t = 2 divides a power of q
+# t sharing a prime with q: (alpha, ratio, K, a carried member row, k0),
+# carried from k0 on.  1/6 and 3/7 / 12 = 1/28 have denominators with a part
+# prime to q, and 1/7 is carried from k = 0 although t = 2 divides a power of q
 _SHARED_RATIO_ROWS = (
-    (Fraction(1), Fraction(1, 6), DigitCantorSet(4, (0, 1, 3)), (0, 1, True), 1),
+    (Fraction(1), Fraction(1, 6), DigitCantorSet(4, (0, 1, 3)), (2, Fraction(1, 36), True), 1),
     (Fraction(3, 7), Fraction(1, 12), DigitCantorSet(3, (0, 2)), (1, Fraction(1, 28), True), 1),
     (Fraction(1, 7), Fraction(1, 2), DigitCantorSet(10, (0, 1, 2, 4, 5, 7, 8)), (1, Fraction(1, 14), True), 0),
 )
