@@ -73,6 +73,31 @@ RATIO_EDGE = (
     ("enumerate", "--alpha", "1/3", "--q", "4", "--A", "1,2", "--ratio", "1/2", "--k-max", "60"),
     ("enumerate", "--alpha", "1/7", "--q", "10", "--A", "1,2,4,5,7,8", "--ratio", "1/2", "--k-max", "40"),
 )
+# rows that end in base q (alpha's denominator and t both divide a power of
+# q), replayed in both formats: the long README scan of 2**-k with A = 0..8,
+# 5**-k with members by both forms, a --primes 2,5 lattice, q = 4 with t = 2
+# (the preperiod grows by half a digit per k), A without 0, A holding q - 1
+# with trailing-(q-1) members, points equal to 1 (alpha = t**j), numerators
+# sharing t's primes (12/5 and 96/5 over t = 2 in base 10), q = 12 with
+# t = 6 and t = 8, and more --q 10 --primes 2,5 lattices
+TERMINATING_EDGE = (
+    ("enumerate", "--alpha", "1", "--q", "10", "--A", "0,1,2,3,4,5,6,7,8", "--ratio", "1/2", "--k-max", "3161"),
+    ("enumerate", "--alpha", "1", "--q", "10", "--A", "0,1,9", "--ratio", "1/5", "--k-max", "1500"),
+    ("enumerate", "--alpha", "7/8", "--q", "10", "--A", "0,1,2,5,7,9", "--primes", "2,5", "--box", "40"),
+    ("enumerate", "--alpha", "1/1", "--q", "4", "--A", "0,1,3", "--ratio", "1/2", "--k-max", "80"),
+    ("enumerate", "--alpha", "3/4", "--q", "4", "--A", "0,3", "--ratio", "1/2", "--k-max", "80"),
+    ("enumerate", "--alpha", "1/2", "--q", "10", "--A", "1,2,4,9", "--ratio", "1/2", "--k-max", "40"),
+    ("enumerate", "--alpha", "1/1", "--q", "10", "--A", "1,2,3,5,6,8,9", "--ratio", "1/5", "--k-max", "40"),
+    ("enumerate", "--alpha", "8/1", "--q", "10", "--A", "0,2,4,9", "--ratio", "1/2", "--k-max", "40"),
+    ("enumerate", "--alpha", "125/1", "--q", "10", "--A", "1,2,4,9", "--ratio", "1/5", "--k-max", "40"),
+    ("enumerate", "--alpha", "12/5", "--q", "10", "--A", "0,2,4,9", "--ratio", "1/2", "--k-max", "40"),
+    ("enumerate", "--alpha", "96/5", "--q", "10", "--A", "1,2,4,5,9", "--ratio", "1/2", "--k-max", "40"),
+    ("enumerate", "--alpha", "1/1", "--q", "12", "--A", "0,2,3,6,11", "--ratio", "1/6", "--k-max", "40"),
+    ("enumerate", "--alpha", "5/3", "--q", "12", "--A", "0,1,4,6,9,11", "--ratio", "1/8", "--k-max", "40"),
+    ("enumerate", "--alpha", "1/1", "--q", "10", "--A", "0,2,5,9", "--primes", "2,5", "--box", "16"),
+    ("enumerate", "--alpha", "16/25", "--q", "10", "--A", "1,2,3,4,6,9", "--primes", "2,5", "--box", "16"),
+    ("enumerate", "--alpha", "40/1", "--q", "10", "--A", "0,4,8,9", "--primes", "5,2", "--box", "12"),
+)
 # digit_set cells whose digits take more than one character, in CSV: for
 # each base, a geometric scan, a lattice scan and dp, with 0 in A and
 # without it; each A holds the repeated digit of a small fraction such as
@@ -122,6 +147,7 @@ EDGE = (
     *((*argv, *fmt) for argv in LATTICE_EDGE for fmt in ((), ("--format", "csv"))),
     *((*argv, *fmt) for argv in SHARED_EDGE for fmt in ((), ("--format", "csv"))),
     *((*argv, *fmt) for argv in RATIO_EDGE for fmt in ((), ("--format", "csv"))),
+    *((*argv, *fmt) for argv in TERMINATING_EDGE for fmt in ((), ("--format", "csv"))),
     *DIGIT_EDGE,
 )
 
