@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from qadic import _par, kernels
-from qadic.expansion import alternate_expansion
 from qadic.rational import (
     MAX_POINTS,
     PreconditionError,
@@ -137,11 +136,9 @@ class DigitCantorSet(Record):
             return self.base - 1 in self.digits
         num, den = x.numerator, x.denominator
         t_hat, _, v = split_coprime_part(den, self.base)
-        if kernels.scan_allowed(num, den, self.base, self.allowed, v):
-            return True
-        if t_hat == 1 and self.base - 1 in self.digits:
-            return alternate_expansion(x, self.base).digits_used() <= self.allowed
-        return False
+        if t_hat == 1:
+            return kernels.terminating_allowed(num * (self.base**v // den), v, self.base, self.allowed)
+        return kernels.scan_allowed(num, den, self.base, self.allowed, v)
 
 
 def _check_scale(alpha, ratio=None, k_max=0) -> tuple[Fraction, Fraction | None]:
@@ -189,21 +186,24 @@ def _line_members(start: Fraction, ratio: Fraction, K: DigitCantorSet, count: in
         return value <= 1 and K.contains(value)
 
     s, d, t, q = start.numerator, start.denominator, ratio.denominator, K.base
-    d_hat, t_hat = split_coprime_part(d, q)[0], split_coprime_part(t, q)[0]
-    if ratio.numerator > 1 or d_hat == t_hat == 1:
+    if ratio.numerator > 1:
         return _par.pmap(member, list(range(count)))
-    # k0: the point s / (d * t**k0) below 1, g = gcd(s, t**k0) settled, and a
-    # part prime to q in its reduced denominator, d_hat * t_hat**k0 / g_hat
+    d_hat, t_hat = split_coprime_part(d, q)[0], split_coprime_part(t, q)[0]
+    ends = d_hat == t_hat == 1
+    # k0: the point s / (d * t**k0) below 1, g = gcd(s, t**k0) settled, and,
+    # unless the row ends in base q, a part prime to q in its reduced
+    # denominator, d_hat * t_hat**k0 / g_hat
     k0, power, power_hat = 0, 1, 1
     while k0 < count:
         g = math.gcd(s, power)
-        if s < d * power and math.gcd(s // g, t) == 1 and d_hat * power_hat > math.gcd(s, power_hat):
+        if s < d * power and math.gcd(s // g, t) == 1 and (ends or d_hat * power_hat > math.gcd(s, power_hat)):
             break
         k0, power, power_hat = k0 + 1, power * t, power_hat * t_hat
     flags = _par.pmap(member, list(range(min(k0, count))))
     if k0 < count:
         den = d * power // g
-        flags += kernels.scan_powers(s // g, den, t, q, K.allowed, split_coprime_part(den, q)[2], count - k0)
+        carry = kernels.terminating_powers if ends else kernels.scan_powers
+        flags += carry(s // g, den, t, q, K.allowed, split_coprime_part(den, q)[2], count - k0)
     return flags
 
 

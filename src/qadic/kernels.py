@@ -181,6 +181,64 @@ def scan_powers(num, den, t, base, allowed, preperiod_len, count):
     return members
 
 
+@lru_cache(maxsize=64)
+def _word(base):
+    # (w, base**w): the most digits of base that fit in 64 bits, at least one
+    width = max(64 // base.bit_length(), 1)
+    return width, base**width
+
+
+def terminating_allowed(m, v, base, allowed):
+    """True iff m / base**v has an expansion with every digit in the set allowed.
+
+    0 < m < base**v, and base does not divide m, so v is the exact preperiod
+    length.  The point has two expansions: the v digits of m, leading zeros
+    included, then 0 forever, and the v digits of m - 1, then base - 1
+    forever.  They differ only in the last digit, so one walk from the low
+    end decides both: the last digit must be allowed with 0, or less one with
+    base - 1, and every other digit allowed.  The walk splits off a word of
+    _word digits per bigint step and stops at the first digit outside allowed
+    or at the leading zeros, which need 0."""
+    high, last = divmod(m, base)
+    if not (0 in allowed and last in allowed or base - 1 in allowed and last - 1 in allowed):
+        return False
+    width, word = _word(base)
+    for left in range(v - 1, 0, -width):
+        if not high:
+            return 0 in allowed
+        high, low = divmod(high, word)
+        for _ in range(min(width, left)):
+            low, d = divmod(low, base)
+            if d not in allowed:
+                return False
+    return True
+
+
+def terminating_powers(num, den, t, base, allowed, preperiod_len, count):
+    """[terminating_allowed for num / (den * t**i), i in range(count)], in one pass.
+
+    den and t must divide powers of base, so every point ends in base;
+    0 < num < den with gcd(num, den) = gcd(num, t) = 1, so every point is in
+    lowest terms, and preperiod_len is the exact preperiod length v of
+    num/den.  With c = base**v / (den * t**i), the point is num * c /
+    base**v; the next point's v grows by the least j >= 0 with t | c *
+    base**j, and c becomes c * base**j / t, as in scan_powers.  So a point
+    costs one multiplication num * c and its digit walk, and no value is
+    built.  With neither 0 nor base - 1 allowed no terminating point is a
+    member, and every flag is False."""
+    if 0 not in allowed and base - 1 not in allowed:
+        return [False] * count
+    members = []
+    v, c = preperiod_len, base**preperiod_len // den
+    for _ in range(count):
+        members.append(terminating_allowed(num * c, v, base, allowed))
+        while c % t:
+            c *= base
+            v += 1
+        c //= t
+    return members
+
+
 def digit_mask(num, den, base, preperiod_len, steps=None):
     """The set of the digits occurring in the expansion (named when it was a bitmask).
 

@@ -10,7 +10,7 @@ from qadic import cantor, cli, kernels
 from qadic.cantor import DigitCantorSet, Gap, geometric_members, geometric_rows, lattice_members, lattice_rows
 from qadic.certificates import exclusion_bound, make_certificate, verify_certificate
 from qadic.enumeration import exceptional_geometric, exceptional_lattice
-from qadic.expansion import shift_digits
+from qadic.expansion import alternate_expansion, expand, shift_digits
 from qadic.rational import PreconditionError, split_coprime_part
 
 K32_02 = DigitCantorSet(3, (0, 2))
@@ -195,6 +195,25 @@ def test_dual_representation_completeness(K):
         assert K.contains(x) == (finite_ok or trailing_ok), x
 
 
+def test_contains_matches_the_alternate_expansion_on_terminating_points():
+    # expand and alternate_expansion stay the reference for the integer-digit
+    # rule of kernels.terminating_allowed: every a / q**4 (so every a / q**v
+    # with v <= 4) against every digit set of bases 3-5, and a seeded sample
+    # of the pairs of bases 6 and 7
+    rng = random.Random(26)
+    for q in (3, 4, 5, 6, 7):
+        sets = [DigitCantorSet(q, A) for size in range(2, q) for A in itertools.combinations(range(q), size)]
+        points = [Fraction(a, q**4) for a in range(1, q**4)]
+        forms = {x: (expand(x, q).digits_used(), alternate_expansion(x, q).digits_used()) for x in points}
+        if q <= 5:
+            pairs = itertools.product(points, sets)
+        else:
+            pairs = ((rng.choice(points), rng.choice(sets)) for _ in range(15_000))
+        for x, K in pairs:
+            canonical, alternate = forms[x]
+            assert K.contains(x) == (canonical <= K.allowed or alternate <= K.allowed), (x, K)
+
+
 def test_gap_dict_round_trip():
     gap = K32_02.largest_gap
     assert Gap.from_dict(gap.to_dict()) == gap
@@ -287,7 +306,8 @@ def test_carried_rows_match_the_point_rows(q, scan_powers_calls):
 
 
 # a row that ends in base q (alpha's denominator and t both divide a power
-# of q) and a ratio with numerator above 1 take the per-point path
+# of q), carried by kernels.terminating_powers, and a ratio with numerator
+# above 1, on the per-point path: neither calls scan_powers
 _FALLBACK_CASES = (
     (Fraction(1, 4), Fraction(1, 2), DigitCantorSet(10, (0, 2, 5))),
     (Fraction(1), Fraction(2, 7), DigitCantorSet(5, (0, 1, 4))),
@@ -471,7 +491,7 @@ def _shared_ratio_cases(q):
 @pytest.mark.parametrize("q", [4, 6, 9, 10, 12])
 def test_shared_ratio_rows_match_the_point_rows(q, scan_powers_calls):
     # carried once the numerator has stopped cancelling, against contains
-    # point by point; a row that ends in base q stays per point
+    # point by point; a row that ends in base q goes to terminating_powers
     for alpha, t, K, k_max, planted in _shared_ratio_cases(q):
         scan_powers_calls.clear()
         rows = geometric_rows(alpha, Fraction(1, t), K, k_max)
@@ -517,14 +537,14 @@ def _flagged(rows):
 def _check_member_scans(alpha, ratio, K, k_max):
     # JSON enumerate's members and bound's empirical_k, read from the flags
     # alone, against contains point by point; bound scans to its own k_alpha.
-    # The certified tail factors alpha's denominator under MAX_RHO_STEPS, so
-    # a planted alpha whose denominator passes 64 bits has its members
-    # checked on geometric_members, the scan the report reads them from
+    # The report keeps its members when its certified tail hits a cap, but
+    # bound factors alpha's denominator under MAX_RHO_STEPS, so a planted
+    # alpha whose denominator passes 64 bits skips the bound check
     members = _flagged(_point_rows(alpha, ratio, K, k_max))
     assert tuple(geometric_members(alpha, ratio, K, k_max)) == members
+    assert exceptional_geometric(alpha, ratio, K, k_max).members == members
     if alpha.denominator >= 2**64:
         return
-    assert exceptional_geometric(alpha, ratio, K, k_max).members == members
     t = ratio.denominator
     if ratio.numerator == 1 and math.gcd(t, K.base) == 1:
         bound = exclusion_bound(alpha, K, (t,))
@@ -545,11 +565,10 @@ def test_member_scans_fall_back_to_the_point_rows():
 
 def _check_lattice_members(alpha, primes, K, box, point_rows):
     # JSON enumerate's members, read from the flags alone, against contains
-    # point by point; a planted alpha past 64 bits as in _check_member_scans
+    # point by point, whatever the size of alpha's denominator
     members = _flagged(point_rows)
     assert tuple(lattice_members(alpha, primes, K, box)) == members
-    if alpha.denominator < 2**64:
-        assert exceptional_lattice(alpha, primes, K, box).members == members
+    assert exceptional_lattice(alpha, primes, K, box).members == members
 
 
 def _lattice_point_rows(alpha, primes, K, box):
@@ -608,8 +627,9 @@ def _ends_in_base_q(alpha, t, q):
 
 def test_lattice_rows_with_no_modulus_prime_to_q(scan_powers_calls):
     # q = 10 and moduli 2, 5: lines along the last index.  Terminating
-    # points, some members only by their trailing-9 form, stay per point;
-    # 3/7 and 2/9 have a part prime to q, and each of their 10 lines is carried
+    # points, some members only by their trailing-9 form, go to
+    # terminating_powers; 3/7 and 2/9 have a part prime to q, and each of
+    # their 10 lines is carried by scan_powers
     K = DigitCantorSet(10, (0, 1, 2, 5, 9))
     for alpha in (Fraction(1), Fraction(1, 4), Fraction(3, 7), Fraction(25, 2), Fraction(2, 9)):
         scan_powers_calls.clear()
@@ -617,6 +637,110 @@ def test_lattice_rows_with_no_modulus_prime_to_q(scan_powers_calls):
         assert lattice_rows(alpha, (2, 5), K, 9) == point_rows
         assert len(scan_powers_calls) == (0 if _ends_in_base_q(alpha, 5, 10) else 10)
         _check_lattice_members(alpha, (2, 5), K, 9, point_rows)
+
+
+def _terminating_member(K, rng):
+    # a member m / q**v whose digits are drawn from A: by its own v digits,
+    # ending in a nonzero digit, when 0 is in A (and q - 1 is not, or by a
+    # coin); else by its trailing-(q-1) form, m - 1's v digits drawn from A
+    # and ending below q - 1.  None when neither 0 nor q - 1 is in A
+    q, digits, v = K.base, K.digits, rng.randrange(1, 7)
+    zero, top = 0 in digits, q - 1 in digits
+    if not (zero or top):
+        return None
+    canonical = zero and (not top or rng.random() < 0.5)
+    last = rng.choice([d for d in digits if d != (0 if canonical else q - 1)])
+    m = sum(rng.choice(digits) * q**i for i in range(1, v)) + last + (0 if canonical else 1)
+    return Fraction(m, q**v), canonical
+
+
+@pytest.fixture
+def terminating_powers_calls(monkeypatch):
+    # each row that ends in base q must meet terminating_powers'
+    # preconditions: den and t dividing powers of q, a first point num/den
+    # below 1 in lowest terms with num prime to t, and its exact preperiod
+    calls = []
+    terminating_powers = kernels.terminating_powers
+
+    def counted(*args):
+        num, den, t, base, _, preperiod_len, _ = args
+        den_hat, _, v = split_coprime_part(den, base)
+        assert 0 < num < den and math.gcd(num, den) == math.gcd(num, t) == 1, args
+        assert den_hat == split_coprime_part(t, base)[0] == 1 and preperiod_len == v, args
+        calls.append(args)
+        return terminating_powers(*args)
+
+    monkeypatch.setattr(kernels, "terminating_powers", counted)
+    return calls
+
+
+def test_terminating_rows_fuzz(scan_powers_calls, terminating_powers_calls):
+    # seeded rows that end in base q against contains point by point: alpha
+    # = s/d with s carrying t's primes and d dividing a power of q, or a
+    # planted member m / q**v times t**j, met at k = j by either form; with
+    # the lattice of q's primes now and then
+    rng = random.Random(26)
+    planted = {True: 0, False: 0}
+    for case in range(1500):
+        q = rng.choice((3, 4, 6, 8, 9, 10, 12))
+        ts = [t for t in range(2, 40) if split_coprime_part(t, q)[0] == 1]
+        t = rng.choice(ts)
+        K = DigitCantorSet(q, rng.sample(range(q), rng.randrange(2, q)))
+        k_max = rng.randrange(1, 16)
+        member = _terminating_member(K, rng) if rng.random() < 0.5 else None
+        if member:
+            j = rng.randrange(0, k_max + 1)
+            alpha = member[0] * t**j
+        else:
+            alpha = Fraction(rng.randrange(1, 50) * t ** rng.randrange(0, 3), rng.choice(ts) ** rng.randrange(0, 3))
+        assert _ends_in_base_q(alpha, t, q)
+        rows = geometric_rows(alpha, Fraction(1, t), K, k_max)
+        assert rows == _point_rows(alpha, Fraction(1, t), K, k_max), (alpha, t, K, k_max)
+        if member:
+            assert rows[j] == (j, member[0], True)
+            planted[member[1]] += 1
+        if case % 10 == 0:
+            primes = tuple(p for p in (2, 3, 5) if q % p == 0)
+            point_rows = _lattice_point_rows(alpha, primes, K, 6)
+            assert lattice_rows(alpha, primes, K, 6) == point_rows
+            _check_lattice_members(alpha, primes, K, 6, point_rows)
+    assert not scan_powers_calls
+    assert len(terminating_powers_calls) > 1000 and min(planted.values()) > 100, planted
+
+
+@pytest.fixture
+def contains_calls(monkeypatch):
+    calls = []
+    contains = DigitCantorSet.contains
+    monkeypatch.setattr(DigitCantorSet, "contains", lambda K, x: calls.append(x) or contains(K, x))
+    return calls
+
+
+def test_terminating_rows_send_only_the_points_before_k0_to_contains(contains_calls, terminating_powers_calls):
+    # a row that ends in base q tests on its own only its points up to 1
+    # before k0, the first point below 1 whose numerator is prime to t: the
+    # point 1 of alpha = t**j and the points of a numerator still sharing
+    # t's primes.  The rest goes to terminating_powers in one call
+    rng = random.Random(2603)
+    cases = [(Fraction(8), 2, 10), (Fraction(1), 2, 10), (Fraction(4, 5), 2, 10), (Fraction(12, 5), 2, 10),
+             (Fraction(96, 5), 2, 10), (Fraction(27, 4), 6, 12), (Fraction(1, 3), 3, 9)]
+    for _ in range(200):
+        q = rng.choice((4, 6, 10, 12))
+        t = rng.choice([t for t in range(2, 30) if split_coprime_part(t, q)[0] == 1])
+        cases.append((Fraction(rng.randrange(1, 20) * t ** rng.randrange(0, 3), q ** rng.randrange(0, 2)), t, q))
+    carried = 0
+    for alpha, t, q in cases:
+        K = DigitCantorSet(q, (0, 1, q - 1))
+        points = [alpha / t**k for k in range(21)]
+        k0 = next((k for k, x in enumerate(points) if x < 1 and math.gcd(x.numerator, t) == 1), 21)
+        contains_calls.clear()
+        terminating_powers_calls.clear()
+        flags = geometric_members(alpha, Fraction(1, t), K, 20)
+        assert contains_calls == [x for x in points[:k0] if x <= 1], (alpha, t, q)
+        assert [args[-1] for args in terminating_powers_calls] == ([21 - k0] if k0 < 21 else [])
+        assert flags == [k for k, x in enumerate(points) if x <= 1 and K.contains(x)]
+        carried += k0 < 21
+    assert carried > 150
 
 
 def test_member_scans_build_no_values(monkeypatch, capsys):

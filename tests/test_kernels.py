@@ -253,3 +253,70 @@ def test_scan_powers_walks_each_point_from_its_exact_preperiod(monkeypatch):
         for i, (r, den_i, base, preperiod_len) in enumerate(walks):
             assert den_i == den * t**i and r * base >= den_i > r
             assert preperiod_len == split_coprime_part(Fraction(r, den_i).denominator, base)[2], (num, den, t, q, i)
+
+
+def _both_forms(m, v, base, allowed):
+    # the reference: the v digits of m, then 0 forever, or the v digits of
+    # m - 1, then base - 1 forever, each digit listed
+    def digits(n):
+        return {n // base**i % base for i in range(v)}
+
+    return digits(m) | {0} <= allowed or digits(m - 1) | {base - 1} <= allowed
+
+
+def test_terminating_allowed_matches_both_expansions():
+    # points m / base**v with v on either side of each word of digits, and
+    # leading zeros that start inside a later word, in bases narrow and past
+    # 64 bits; digits drawn from a small pool so that both forms meet members
+    rng = random.Random(26)
+    forms = {"canonical": 0, "trailing": 0, "neither": 0}
+    for base in (3, 4, 10, 12, 2**64 + 13):
+        width = kernels._word(base)[0]
+        pool = sorted({0, 1, 2, base - 2, base - 1, rng.randrange(base)})
+        for v in sorted({1, 2, width - 1, width, width + 1, 2 * width + 1, 3 * width + 2} - {0}):
+            for _ in range(60):
+                allowed = frozenset(rng.sample(pool, rng.randrange(2, len(pool))))
+                # least significant first: a nonzero last digit, then z leading zeros
+                digits = [rng.choice(pool[1:]), *(rng.choice(pool) for _ in range(v - 1))]
+                z = rng.randrange(0, v) if rng.random() < 0.4 else 0
+                digits[v - z:] = [0] * z
+                m = sum(d * base**i for i, d in enumerate(digits))
+                got = kernels.terminating_allowed(m, v, base, allowed)
+                assert got == _both_forms(m, v, base, allowed), (m, v, base, allowed)
+                canonical = {m // base**i % base for i in range(v)} | {0} <= allowed
+                forms["neither" if not got else "canonical" if canonical else "trailing"] += 1
+    assert min(forms.values()) > 50, forms
+
+
+def _terminating_rows(seed):
+    # rows num / (den * t**i) with den and t dividing powers of q, num below
+    # den and prime to both: (num, den, t, q, allowed), with 0 and q - 1 in
+    # A or not
+    rng = random.Random(seed)
+    for q in (3, 4, 6, 10, 12, 18):
+        ts = [t for t in range(2, 50) if split_coprime_part(t, q)[0] == 1]
+        for _ in range(40):
+            t = rng.choice(ts)
+            den = rng.choice(ts) * q ** rng.randrange(0, 3)
+            num = rng.randrange(1, den)
+            if math.gcd(num, den) > 1 or math.gcd(num, t) > 1:
+                continue
+            yield num, den, t, q, frozenset(rng.sample(range(q), rng.randrange(2, q)))
+
+
+def test_terminating_powers_matches_terminating_allowed_point_by_point():
+    # each point's m and exact v come from its own Fraction, not from the
+    # carried c
+    cases = members = 0
+    for num, den, t, q, allowed in _terminating_rows(2601):
+        got = kernels.terminating_powers(num, den, t, q, allowed, split_coprime_part(den, q)[2], 30)
+        want = []
+        for i in range(30):
+            x = Fraction(num, den * t**i)
+            v = split_coprime_part(x.denominator, q)[2]
+            m = x.numerator * q**v // x.denominator
+            assert m % q
+            want.append(kernels.terminating_allowed(m, v, q, allowed))
+        assert got == want, (num, den, t, q, allowed)
+        cases, members = cases + 1, members + sum(got)
+    assert cases > 100 and members > 50
