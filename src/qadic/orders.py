@@ -64,7 +64,7 @@ def _stabilization(p: int, q: int) -> tuple[int, int]:
     """(k0, order): order = ord(q mod p**2), and p**k0 exactly divides q**order - 1.
 
     Modular powers only, so b = (q**order - 1) / p**k0 is never built."""
-    if not is_prime(p):
+    if type(p) is not int or not is_prime(p):
         raise PreconditionError(f"p = {shown(p)} is not prime")
     require("q", q, 2)
     require_coprime(q, p, "stabilization undefined")
@@ -163,9 +163,9 @@ def orbit_of(a: int, q: int, m: int) -> list[int]:
     """The orbit of the unit a under multiplication by q mod m, starting at a."""
     require("m", m, 1)
     require_coprime(q, m, "orbit undefined")
+    require_coprime(a, m, "not a unit")
     if m == 1:
         return [1]
-    require_coprime(a, m, "not a unit")
     out = [a % m]
     x = a * q % m
     while x != out[0]:

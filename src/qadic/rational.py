@@ -151,7 +151,10 @@ def _to_int(digits: str) -> int:
 
 
 def format_rational(x) -> str:
-    """Exact "num/den" string, with an explicit denominator even for integers."""
+    """Exact "num/den" string, with an explicit denominator even for integers.
+
+    x must be a plain int (a bool is not one) or a Fraction."""
+    x = require_rational("x", x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -173,6 +176,10 @@ def require_rational(name: str, value) -> Fraction:
 
 
 def require_coprime(a: int, m: int, what: str):
+    """Raise unless a and m are plain ints (a bool is not one) with gcd(a, m) = 1."""
+    for value in (a, m):
+        if type(value) is not int:
+            raise PreconditionError(f"{what}: {shown(value)} is not an integer")
     g = math.gcd(a, m)
     if g != 1:
         raise PreconditionError(f"{what}: gcd({shown(a)}, {shown(m)}) = {shown(g)}, not 1")
@@ -400,8 +407,14 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic below ~3.3e24; Miller-Rabin base 2 plus a strong Lucas test beyond."""
-    if not isinstance(n, int) or n < 2:
+    """Deterministic below ~3.3e24; Miller-Rabin base 2 plus a strong Lucas test beyond.
+
+    n must be a plain int: a bool or a float such as 7.0 raises
+    PreconditionError rather than reading as a number that is not prime.
+    Every int below 2 is not prime."""
+    if type(n) is not int:
+        raise PreconditionError(f"n = {shown(n)} is not an integer")
+    if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:

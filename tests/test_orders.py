@@ -36,6 +36,26 @@ def test_mult_order_frozen():
         mult_order(6, 9)
 
 
+# a bool used to be taken for 1, and a float to raise TypeError from math.gcd
+NOT_INTEGERS = {
+    "mult_order(True, 9)": lambda: mult_order(True, 9),
+    "order_lcm(True, 9, 5)": lambda: order_lcm(True, 9, 5),
+    "orbit_of(True, 3, 7)": lambda: orbit_of(True, 3, 7),
+    "orbit_of(True, 3, 1)": lambda: orbit_of(True, 3, 1),
+    "mult_order(2.0, 9)": lambda: mult_order(2.0, 9),
+    "order_lcm(2.0, 9, 5)": lambda: order_lcm(2.0, 9, 5),
+    "order_lcm(2, 9.0, 5)": lambda: order_lcm(2, 9.0, 5),
+    "orbit_of(1.0, 3, 7)": lambda: orbit_of(1.0, 3, 7),
+    "order_stabilization(7.0, 10)": lambda: order_stabilization(7.0, 10),
+}
+
+
+@pytest.mark.parametrize("call", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+def test_orders_refuse_bools_and_floats(call):
+    with pytest.raises(PreconditionError, match=r"is not (an integer|prime)$"):
+        call()
+
+
 def test_mult_order_brute_force():
     for m in range(1, 300):
         for a in range(1, 20):

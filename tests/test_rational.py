@@ -128,6 +128,15 @@ def test_is_prime_pseudoprime_traps():
     assert is_prime(10**18 + 9)
 
 
+def test_is_prime_refuses_what_is_not_a_plain_int():
+    # is_prime(7.0) used to return False, as if seven were not prime; a
+    # predicate of an integer raises on anything else, a bool included
+    for n in (7.0, True, "7", None, Fraction(7)):
+        with pytest.raises(PreconditionError, match="^n = .* is not an integer$"):
+            is_prime(n)
+    assert not any(is_prime(n) for n in (-7, 0, 1))
+
+
 def test_euler_phi_frozen():
     assert euler_phi(12) == 4
     assert euler_phi(1) == 1
@@ -224,6 +233,22 @@ def test_parse_and_format_round_trip():
     for bad in ("0.5", "1e3", "-1/2", "1/0", "", "a/b", None, "1/" + "7" * 5000):
         with pytest.raises(PreconditionError):
             parse_rational(bad)
+
+
+def test_format_rational_refuses_inexact_values():
+    # format_rational(0.5) used to raise AttributeError, and True printed 1/1
+    assert format_rational(3) == "3/1"
+    for x in (0.5, True, "1/2", None):
+        with pytest.raises(PreconditionError, match="^x = .* is not an int or a Fraction$"):
+            format_rational(x)
+
+
+def test_require_coprime_refuses_bools_and_floats():
+    # math.gcd took True as 1 and raised TypeError on a float
+    rational.require_coprime(2, 9, "gcd")
+    for a, m in ((True, 9), (2, False), (2.0, 9), (2, 9.0), ("2", 9)):
+        with pytest.raises(PreconditionError, match="^gcd: .* is not an integer$"):
+            rational.require_coprime(a, m, "gcd")
 
 
 K5 = DigitCantorSet(5, (0, 1, 2))
