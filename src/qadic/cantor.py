@@ -1,16 +1,19 @@
 """Restricted-digit Cantor sets: points of [0, 1] admitting an expansion using only digits from A.
 
 Membership is existential, so a point with a disallowed canonical digit can
-still belong via its trailing-(q-1) representation.  The scans of the
-scaled points alpha*ratio**k and alpha / prod(p_j**k_j) come in two steps.
-The membership walk (`_line_members`) yields one flag per point of a
-geometric line; for a ratio 1/t it carries the line through
-`kernels.scan_powers` once alpha's numerator has stopped cancelling against
-t**k, whatever t shares with q, unless every point ends in base q.
-geometric_members and lattice_members read the members straight from those
-flags, for JSON `enumerate` and `bound`.  The second step (`_line_rows`)
-puts a value on each flag, and only geometric_rows and lattice_rows, the
-rows of CSV tables and of the library, run it."""
+still belong via its trailing-(q-1) representation; a point that ends in
+base q is decided on the integer digits of both its forms at once
+(`kernels.terminating_allowed`).  The scans of the scaled points
+alpha*ratio**k and alpha / prod(p_j**k_j) come in two steps.  The
+membership walk (`_line_members`) yields one flag per point of a geometric
+line; for a ratio 1/t it carries the line once alpha's numerator has
+stopped cancelling against t**k, whatever t shares with q: through
+`kernels.terminating_powers` when every point ends in base q, else through
+`kernels.scan_powers`.  geometric_members and lattice_members read the
+members straight from those flags, for JSON `enumerate` and `bound`.  The
+second step (`_line_rows`) puts a value on each flag, and only
+geometric_rows and lattice_rows, the rows of CSV tables and of the library,
+run it."""
 
 from __future__ import annotations
 
@@ -123,10 +126,13 @@ class DigitCantorSet(Record):
     def contains(self, x) -> bool:
         """Exact membership test for x in [0, 1], an int or a Fraction.
 
-        Scans the canonical digits against the set `allowed` with early exit;
-        if they terminate and fail, falls back to the alternate
-        (trailing-(q-1)) expansion.  A member whose period is longer than
-        MAX_DIGITS digits raises PreconditionError (`kernels.scan_allowed`)."""
+        A point whose denominator divides q**v, v minimal, is m / q**v, and
+        `kernels.terminating_allowed` tests the v digits of m for its
+        canonical form and those of m - 1 for its trailing-(q-1) form in one
+        walk of integer digits, with early exit; no expansion is built.  Any
+        other point has one expansion, whose digits `kernels.scan_allowed`
+        scans against the set `allowed` with early exit; a member whose
+        period is longer than MAX_DIGITS digits raises PreconditionError."""
         x = require_rational("x", x)
         if not 0 <= x <= 1:
             raise PreconditionError(f"x = {shown(x)} outside [0, 1]")
@@ -169,17 +175,21 @@ def _line_members(start: Fraction, ratio: Fraction, K: DigitCantorSet, count: in
     (d * t**k / g_k) in lowest terms, with g_k = gcd(s, t**k).  Once s/g_k
     is prime to t, g_k no longer changes, and the points from there on are
     one row s' / (D * t**i) with s' prime to t.  The row is carried from k0,
-    the first k >= 0 whose point is below 1, whose numerator s/g_k is prime
-    to t, and whose reduced denominator has a part prime to q (d_hat *
-    t_hat**k > g_hat, the hats marking the parts prime to q), so that no
-    trailing-(q-1) form applies, whatever t shares with q:
-    `kernels.scan_powers` tests all of those points in one pass, given the
-    exact preperiod length of the point k0, carrying the remainder after
-    each point's leading zeros to the next k.  Every other point (those
-    before k0, every point of a row that ends in base q, where d and t both
-    divide a power of q, and every point of a ratio whose numerator is above
-    1) is built and goes through `contains` on its own.  No value of the
-    carried points is built."""
+    the first k >= 0 whose point is below 1 and whose numerator s/g_k is
+    prime to t, given the exact preperiod length of the point k0, in one of
+    two ways, whatever t shares with q:
+    - a row that ends in base q (d and t both divide a power of q):
+      `kernels.terminating_powers` steps each point's preperiod length v and
+      c = q**v / (D * t**i), and decides the point by the integer digits of
+      s' * c;
+    - any other row, from the first such k whose reduced denominator also
+      has a part prime to q (d_hat * t_hat**k > g_hat, the hats marking the
+      parts prime to q), so that no trailing-(q-1) form applies:
+      `kernels.scan_powers` carries the remainder after each point's leading
+      zeros to the next k.
+    Every other point (those before k0, and every point of a ratio whose
+    numerator is above 1) is built and goes through `contains` on its own.
+    No value of the carried points is built."""
 
     def member(k):
         value = start * ratio**k
@@ -222,11 +232,12 @@ def geometric_rows(alpha, ratio, K: DigitCantorSet, k_max: int) -> list[tuple[in
     """Evaluate alpha*ratio**k for k = 0..k_max; rows of (k, value, member).
 
     Capped before any point is built (`_check_scale`).  A ratio 1/t, whatever
-    t shares with q, takes the carried walk of `kernels.scan_powers`
-    (`_line_members`) from the first k >= 0 whose point is below 1, whose
-    numerator s / gcd(s, t**k) is prime to t, and whose reduced denominator
-    has a part prime to q; `_line_rows` puts a value on each flag, for CSV
-    tables and the library."""
+    t shares with q, takes a carried walk (`_line_members`) from the first
+    k >= 0 whose point is below 1 and whose numerator s / gcd(s, t**k) is
+    prime to t: `kernels.terminating_powers` when the row ends in base q,
+    else `kernels.scan_powers` once the reduced denominator also has a part
+    prime to q; `_line_rows` puts a value on each flag, for CSV tables and
+    the library."""
     alpha, ratio = _check_scale(alpha, ratio, k_max)
     return _line_rows(alpha, ratio, K, k_max + 1)
 
@@ -246,7 +257,7 @@ def _lattice_lines(alpha, primes, K: DigitCantorSet, box: int):
     the products prod(p_j**k_j), raise PreconditionError before the first
     line.  Lines run along the carried index j, the last whose modulus is
     prime to q, so that no line ends in base q (else the last index, whose
-    lines `_line_members` carries unless they end in base q too): for each
+    lines may end in base q; `_line_members` carries those too): for each
     tuple of the other indices,
     the line start * p_j**-k_j, k_j = 0..box, with start = alpha /
     prod(p_i**k_i), i != j.  Yields (start, 1/p_j, slots, before, after) per

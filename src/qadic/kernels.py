@@ -16,6 +16,11 @@ to the next point, a few factors of base further on, steps each point's
 exact preperiod length from the one before, and runs scan_allowed's walk
 from there; when 0 is not an allowed digit it stops at the first point with
 a leading zero.
+A point that ends in base, m / base**v with v minimal, has two expansions,
+and terminating_allowed decides both in one walk over the integer digits of
+m from the low end, with no long division; terminating_powers carries a
+whole row that ends in base, num / (den * t**i), stepping each point's v
+and m as scan_powers steps its preperiod length.
 digit_mask may draw its period digits from a budget that several walks
 share (period_steps), as the digit cells of one CSV table do.
 Integers only: no float enters any bound.

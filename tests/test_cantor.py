@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qadic import cantor, cli, kernels
+from qadic import cantor, cli, expansion, kernels
 from qadic.cantor import DigitCantorSet, Gap, geometric_members, geometric_rows, lattice_members, lattice_rows
 from qadic.certificates import exclusion_bound, make_certificate, verify_certificate
 from qadic.enumeration import exceptional_geometric, exceptional_lattice
@@ -91,6 +91,19 @@ def test_contains_uses_alternate_form():
     # 2/3 = .2 = .1(2): the terminating form works for {0,2}, neither for {0,1}
     assert K32_02.contains(Fraction(2, 3))
     assert not K3_01.contains(Fraction(2, 3))
+
+
+def test_contains_builds_no_expansion(monkeypatch):
+    # terminating points are decided on their integer digits: with
+    # ExpansionQ broken, contains still answers for both forms
+    def broken(self):
+        raise RuntimeError("expansion built")
+
+    monkeypatch.setattr(expansion.ExpansionQ, "__post_init__", broken)
+    assert K32_02.contains(Fraction(1, 3)) and K32_02.contains(Fraction(2, 3))
+    assert not K3_01.contains(Fraction(2, 3))
+    assert K10_05.contains(Fraction(1, 2)) and K10_05.contains(Fraction(1, 20))
+    assert not K10_05.contains(Fraction(1, 4))
 
 
 def _shift_in_gap(K, x, n):
